@@ -34,7 +34,7 @@ from .errors import (
     ProbeNotInfinitesimal,
     ZeroProbeValue,
 )
-from .order import DEFAULT_HORIZON, Verdict, classify, infinitely_close
+from .order import DEFAULT_HORIZON, Verdict, classify, first_checked_index, infinitely_close
 from .quantity import ExpPoly, Quantity, eval_at
 
 DEFAULT_TOL = Fraction(1, 10**6)
@@ -179,8 +179,7 @@ def _decay_verdict(
     gaps: Callable[[int], Fraction], horizon: int, tol: Fraction, window: int
 ) -> Verdict:
     """Apply the decay rule to a gap sequence; see the module docstring."""
-    exempt = -(-horizon // 10)
-    early_lo = exempt + 1
+    early_lo = first_checked_index(horizon)
     tail_lo = max(horizon - window + 1, early_lo)
     early = [(n, gaps(n)) for n in range(early_lo, min(early_lo + window, horizon) + 1)]
     tail = [(n, gaps(n)) for n in range(tail_lo, horizon + 1)]

@@ -142,6 +142,11 @@ def compare(q1: Quantity, q2: Quantity) -> Comparison:
     return Comparison.INCOMPARABLE
 
 
+def first_checked_index(horizon: int) -> int:
+    """First index a lazy check evaluates: past the exempt first ceil(horizon/10)."""
+    return -(-horizon // 10) + 1
+
+
 def compare_lazy(
     q1: Quantity, q2: Quantity, claim: Comparison, horizon: int = DEFAULT_HORIZON
 ) -> Verdict:
@@ -160,7 +165,7 @@ def compare_lazy(
     if claim not in tests:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
     ok = tests[claim]
-    start = -(-horizon // 10) + 1
+    start = first_checked_index(horizon)
     for n in range(start, horizon + 1):
         if not ok(eval_at(q1, n), eval_at(q2, n)):
             return Verdict.fails(n)
@@ -182,7 +187,7 @@ def _probe_ks(horizon: int) -> list[int]:
 
 
 def _lazy_is_small(q: Quantity, horizon: int) -> Verdict:
-    start = -(-horizon // 10) + 1
+    start = first_checked_index(horizon)
     bound = Fraction(1, _probe_ks(horizon)[-1])
     for n in range(start, horizon + 1):
         if abs(eval_at(q, n)) >= bound:
@@ -229,7 +234,7 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     direction = _sign(eval_at(q, horizon))
     if direction == 0:
         return Verdict.fails(horizon)
-    start = -(-horizon // 10) + 1
+    start = first_checked_index(horizon)
     bound = Fraction(_probe_ks(horizon)[-1])
     for n in range(start, horizon + 1):
         v = eval_at(q, n)
@@ -311,6 +316,8 @@ def classify_lazy(
     if q.is_closed:
         return classify(q)
     tail = [eval_at(q, n) for n in range(horizon - window + 1, horizon + 1)]
+    # This early window starts at horizon // 10, inside the exempt prefix, not
+    # at first_checked_index(horizon); moving it could change verdicts.
     early = [eval_at(q, n) for n in range(max(1, horizon // 10), max(1, horizon // 10) + window)]
     if all(v == 0 for v in tail):
         return Classification("zero")

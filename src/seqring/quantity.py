@@ -12,13 +12,16 @@ inside it, and the ordering layer can compare them exactly.  Arithmetic that
 mixes a closed form with a lazy sequence lowers the result to lazy.
 
 All values are immutable after construction; lazy evaluators must be pure.
+"Immutable" means value-immutable: ``ExpPoly.value_at`` memoizes its last
+index so that consecutive indices cost one multiplication per term, but the
+memo is invisible to equality, hashing and rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -80,7 +83,7 @@ class ExpPoly:
     indices if and only if their canonical forms are identical.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_memo")
 
     def __init__(self, coeffs: Mapping[Key, Fraction] | None = None):
         cleaned: dict[Key, Fraction] = {}
@@ -93,6 +96,8 @@ class ExpPoly:
                 if c != 0:
                     cleaned[(base, int(power))] = c
         self._coeffs = cleaned
+        # value_at's last index: (n, value, S(n), (r_i**n per term), plan).
+        self._memo: tuple | None = None
 
     @classmethod
     def zero(cls) -> "ExpPoly":
@@ -122,12 +127,64 @@ class ExpPoly:
         return [Term(c, power, base) for (base, power), c in self.items()]
 
     def value_at(self, n: int) -> Fraction:
+        """Exact value at index n >= 1.
+
+        The value is written as S(n) * I(n) / n**K, where
+        S(n) = (g/D) * (G/Q)**n is a Fraction, I(n) = sum a_i * r_i**n * n**(k_i + K)
+        is an integer, and K is the largest negative power.  D and Q are the
+        lcms of the coefficient and base denominators; g and G are the gcds
+        of the numerators over them, which a_i and r_i are divided by.  Each
+        index multiplies S(n) by I(n) / n**K, and ``Fraction``'s gcds meet a
+        small operand unless I(n) and the denominator of S(n) are both large,
+        which takes several bases.  With one base I(n) stays small, so a
+        large coefficient or index costs no gcd of two large integers.
+
+        Horizon loops visit consecutive indices, so the last index is
+        memoized.  Index n + 1 multiplies each r_i**n by r_i and S by G/Q.
+        Any other index starts over with ``pow``.
+        """
         if n < 1:
             raise ValueError("sequence indices start at 1")
-        total = Fraction(0)
-        for (base, power), c in self._coeffs.items():
-            total += c * Fraction(n) ** power * base**n
-        return total
+        if not self._coeffs:
+            return Fraction(0)
+        memo = self._memo
+        if memo is None:
+            plan, stepping = self._plan(), False
+        elif memo[0] == n:
+            return memo[1]
+        else:
+            plan, stepping = memo[4], memo[0] + 1 == n
+        scale0, step, k_shift, terms = plan
+        if stepping:
+            powers = tuple([s * r for s, (_, r, _) in zip(memo[3], terms)])
+        else:
+            powers = tuple([r**n for _, r, _ in terms])
+        if step == 1:
+            scale = scale0
+        elif stepping:
+            scale = memo[2] * step
+        else:
+            scale = scale0 * step**n
+        inner = 0
+        for s, (a, _, k) in zip(powers, terms):
+            inner += a * s * n**k if k else a * s
+        value = scale * (Fraction(inner, n**k_shift) if k_shift else inner)
+        self._memo = (n, value, scale, powers, plan)
+        return value
+
+    def _plan(self) -> tuple[Fraction, Fraction, int, tuple[tuple[int, int, int], ...]]:
+        # (g/D, G/Q, K, ((a_i, r_i, k_i + K) per term)): see value_at.
+        coeffs, keys = self._coeffs.values(), self._coeffs.keys()
+        d = lcm(*(c.denominator for c in coeffs))
+        q = lcm(*(b.denominator for b, _ in keys))
+        nums = [c.numerator * (d // c.denominator) for c in coeffs]
+        ratios = [b.numerator * (q // b.denominator) for b, _ in keys]
+        g, big_g = gcd(*nums), gcd(*ratios)
+        k_shift = max(0, *(-k for _, k in keys))
+        terms = tuple(
+            (a // g, r // big_g, k + k_shift) for a, r, (_, k) in zip(nums, ratios, keys)
+        )
+        return Fraction(g, d), Fraction(big_g, q), k_shift, terms
 
     def scale(self, r) -> "ExpPoly":
         r = _rat(r)

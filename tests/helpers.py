@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here never call the code paths they check: sums are brute-force
-loops over sequence values, comparisons are pointwise big-integer evaluation,
-and sqrt(2) digits come from integer square roots.
+The oracles here never call the code paths they check: closed forms are
+evaluated term by term from the textbook formula (never ``ExpPoly.value_at``),
+sums are brute-force loops over those values, comparisons are pointwise
+big-integer evaluation, and sqrt(2) digits come from integer square roots.
 """
 
 from __future__ import annotations
@@ -49,11 +50,23 @@ def random_patch(rng: random.Random, max_index: int = 100) -> dict:
     }
 
 
+def naive_value(e: ExpPoly, n: int) -> F:
+    """Independent evaluation oracle: the sum of c * n**k * b**n, one term at a time."""
+    return sum((c * F(n) ** k * b**n for (b, k), c in e.items()), F(0))
+
+
+def naive_eval(q: Quantity, n: int) -> F:
+    """``eval_at`` with closed bodies evaluated by ``naive_value``; lazy evaluators as given."""
+    if not q.is_closed:
+        return eval_at(q, n)
+    return q.patch[n] if n in q.patch else naive_value(q.body, n)
+
+
 def brute_partial_sum(term: ExpPoly, n: int, start: int = 1) -> F:
     """Independent summation oracle: add term values one index at a time."""
     total = F(0)
     for k in range(start, n + 1):
-        total += term.value_at(k)
+        total += naive_value(term, k)
     return total
 
 
@@ -61,7 +74,7 @@ def pointwise_verdict(q1: Quantity, q2: Quantity, indices) -> str:
     """Pointwise comparison oracle: 'less'/'greater'/'equal' if uniform, else 'mixed'."""
     seen = set()
     for n in indices:
-        a, b = eval_at(q1, n), eval_at(q2, n)
+        a, b = naive_eval(q1, n), naive_eval(q2, n)
         seen.add("less" if a < b else "greater" if a > b else "equal")
     return seen.pop() if len(seen) == 1 else "mixed"
 

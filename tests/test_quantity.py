@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import random_poly, random_quantity
+from helpers import naive_value, random_poly, random_quantity
 
 from seqring import (
     ExpPoly,
@@ -106,6 +106,65 @@ def test_eval_patch_precedence():
 def test_eval_rejects_index_zero():
     with pytest.raises(ValueError):
         eval_at(N, 0)
+
+
+# value_at remembers its last index; every access order must agree with the
+# textbook formula.
+STEP_BASES = [F(1), F(-1), F(1, 2), F(-1, 2), F(3, 7), F(-3)]
+
+
+def _stepping_poly(rng: random.Random) -> ExpPoly:
+    return ExpPoly({
+        (rng.choice(STEP_BASES), rng.randint(-3, 3)): F(rng.randint(-9, 9), rng.randint(1, 6))
+        for _ in range(rng.randint(1, 4))
+    })
+
+
+def _access_orders(rng: random.Random) -> dict:
+    ascending = list(range(1, 41))
+    return {
+        "ascending": ascending,
+        "repeated": [n for n in ascending for _ in range(3)],
+        "descending": ascending[::-1],
+        "jumping": [rng.choice((1, 2, 39, 40, 41, 300, 5000)) for _ in range(40)],
+    }
+
+
+def test_value_at_matches_naive_formula_in_every_access_order():
+    rng = random.Random(41)
+    for _ in range(60):
+        e = _stepping_poly(rng)
+        carried = ExpPoly(dict(e.items()))  # keeps its memo from one order to the next
+        for order, indices in _access_orders(rng).items():
+            fresh = ExpPoly(dict(e.items()))
+            for n in indices:
+                expected = naive_value(e, n)
+                assert fresh.value_at(n) == expected, (e, order, n)
+                assert carried.value_at(n) == expected, (e, order, n)
+    assert ExpPoly().value_at(7) == 0
+
+
+def test_lazies_sharing_one_body_match_naive_formula():
+    rng = random.Random(42)
+    for _ in range(30):
+        x, d = Quantity.closed(_stepping_poly(rng)), Quantity.closed(_stepping_poly(rng))
+        plain, shifted, lagged = x.as_lazy(), x.as_lazy() + d, delay(x.as_lazy(), 3)
+        for n in list(range(1, 61)) + [rng.randint(1, 300) for _ in range(20)]:
+            xn = naive_value(x.body, n)
+            assert eval_at(plain, n) == xn
+            assert eval_at(shifted, n) == xn + naive_value(d.body, n)
+            assert eval_at(lagged, n) == (0 if n <= 3 else naive_value(x.body, n - 3))
+
+
+def test_value_at_memo_is_invisible():
+    e = ExpPoly({(F(3, 7), 1): F(2, 3), (F(-3), -1): F(5), (F(1, 2), 0): F(-1, 4)})
+    twin = ExpPoly(dict(e.items()))
+    for n in (1, 2, 3, 50, 50):
+        e.value_at(n)
+    assert e == twin
+    assert hash(e) == hash(twin)
+    assert e.render() == twin.render()
+    assert repr(e) == repr(twin)
 
 
 # ------------------------------------------------------------------
