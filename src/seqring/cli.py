@@ -13,16 +13,23 @@ Statements
   qexpr                        evaluate and print the canonical closed form
 
 Quantity expressions
-  qexpr := rat | N | IDENT | qexpr (+|-|*) qexpr | -qexpr | qexpr ^ INT
-         | rat ^ n                           exponential sequence b**n
+  qexpr := rat | N | n | IDENT | qexpr (+|-|*) qexpr | -qexpr | qexpr ^ INT
+         | base ^ n | base ^ N               exponential sequence b**n
          | delay(qexpr, INT)                 prefix with INT zeros
          | patch(qexpr, INT:rat, ...)        finite index overrides
          | series(kexpr) [from INT]          closed-form partial sums
          | geom(rat)                         partial sums (1 - e^n)/(1 - e)
          | (qexpr)
-  kexpr := expression in k with rational coefficients and rat^k factors
-  fn    := sin|cos|exp|log|sqrt|abs|step | IDENT -> polynomial in that variable
+  base  := rat | (cexpr)              cexpr: rationals under + - * unary -
+                                      and ^INT, folded to a nonzero rational b
+  kexpr := expression in k: rationals, k, base ^ k, + - * unary - and ^INT
+  fn    := sin|cos|exp|log|sqrt|abs|step | IDENT -> a polynomial in IDENT
+           with rational coefficients and integer (also negative) powers
   rat   := INT | INT/INT | decimal literal (converted exactly)
+
+All expression contexts share one evaluator, so + - * unary - and ^INT
+(|INT| <= 64) mean the same everywhere; a negative power needs an inverse (a
+single-term closed form, or a nonzero rational).
 
 Rationals are exact everywhere; decimal literals like 0.5 become 1/2.
 Exit codes: 0 success, 1 parse error, 2 evaluation error, 3 failed assertion
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,13 +153,8 @@ class Num:
 
 
 @dataclass(frozen=True)
-class NSym:
-    pass
-
-
-@dataclass(frozen=True)
 class Var:
-    name: str
+    name: str  # N or n in quantities, the bound variable in series and lambdas
 
 
 @dataclass(frozen=True)
@@ -160,19 +163,8 @@ class Ref:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
+class BinOp:
+    op: str  # "+", "-" or "*"
     left: object
     right: object
 
@@ -342,16 +334,13 @@ class _Parser:
     def sum(self, ctx: str, var: str | None):
         node = self.product(ctx, var)
         while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance().kind
-            rhs = self.product(ctx, var)
-            node = Add(node, rhs) if op == "PLUS" else Sub(node, rhs)
+            node = BinOp(self.advance().text, node, self.product(ctx, var))
         return node
 
     def product(self, ctx, var):
         node = self.unary(ctx, var)
         while self.peek().kind == "STAR":
-            self.advance()
-            node = Mul(node, self.unary(ctx, var))
+            node = BinOp(self.advance().text, node, self.unary(ctx, var))
         return node
 
     def unary(self, ctx, var):
@@ -392,20 +381,12 @@ class _Parser:
             return node
         if tok.kind != "IDENT":
             self.fail("an expression")
-        if ctx == "series":
-            if tok.text == var:
-                self.advance()
-                return Var(tok.text)
-            self.fail(f"the summation variable '{var}' or a rational")
-        if ctx == "lambda":
-            if tok.text == var:
-                self.advance()
-                return Var(tok.text)
-            self.fail(f"the function variable '{var}' or a rational")
-        # quantity context
-        if tok.text in ("N", "n"):
+        if tok.text in ((var,) if ctx != "quantity" else ("N", "n")):
             self.advance()
-            return NSym()
+            return Var(tok.text)
+        if ctx != "quantity":
+            role = "summation" if ctx == "series" else "function"
+            self.fail(f"the {role} variable '{var}' or a rational")
         if tok.text == "delay":
             self.advance()
             self.expect("LPAREN", "'('")
@@ -462,7 +443,7 @@ class _Parser:
             self.advance()
             sign = -1
         num = self.expect("NUM", "a number")
-        value = Fraction(num.text)  # decimal literals convert exactly
+        value = self.convert(num, Fraction)  # decimal literals convert exactly
         if self.peek().kind == "SLASH":
             if "." in num.text:
                 self.fail("an integer numerator")
@@ -470,7 +451,10 @@ class _Parser:
             den = self.expect("NUM", "a denominator")
             if "." in den.text:
                 self.fail("an integer denominator")
-            value = Fraction(int(num.text), int(den.text))
+            divisor = self.convert(den, int)
+            if divisor == 0:
+                raise ExprSyntaxError(self.line, den.col, "a nonzero denominator")
+            value /= divisor
         return sign * value
 
     def integer(self, what: str) -> int:
@@ -481,27 +465,47 @@ class _Parser:
         tok = self.expect("NUM", what)
         if "." in tok.text:
             self.fail(what)
-        return sign * int(tok.text)
+        return sign * self.convert(tok, int)
+
+    def convert(self, tok: Token, kind):
+        try:
+            return kind(tok.text)
+        except ValueError:  # past Python's digit limit for int-from-string conversion
+            raise ExprSyntaxError(self.line, tok.col, "a numeric literal of fewer digits") from None
+
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _evaluate(node, leaf, power):
+    """Evaluate + - * and unary - with the value type's own operators.
+
+    ``^INT`` calls ``power(value, exponent)``; every other node goes to ``leaf``.
+    """
+    if isinstance(node, BinOp):
+        left, right = _evaluate(node.left, leaf, power), _evaluate(node.right, leaf, power)
+        return _BINOPS[node.op](left, right)
+    if isinstance(node, Neg):
+        return -_evaluate(node.operand, leaf, power)
+    if isinstance(node, Pow):
+        if abs(node.exponent) > MAX_POW:
+            raise SeqRingError("exponent magnitude above 64", operation="pow")
+        return power(_evaluate(node.operand, leaf, power), node.exponent)
+    return leaf(node)
 
 
 def _fold_const(node):
     """Fold an AST to a rational if it is a constant expression, else None."""
-    if isinstance(node, Num):
+
+    def leaf(node):
+        if not isinstance(node, Num):
+            raise SeqRingError("not a constant", operation="parse")
         return node.value
-    if isinstance(node, Neg):
-        v = _fold_const(node.operand)
-        return None if v is None else -v
-    if isinstance(node, (Add, Sub, Mul)):
-        a, b = _fold_const(node.left), _fold_const(node.right)
-        if a is None or b is None:
-            return None
-        return a + b if isinstance(node, Add) else a - b if isinstance(node, Sub) else a * b
-    if isinstance(node, Pow):
-        v = _fold_const(node.operand)
-        if v is None or abs(node.exponent) > MAX_POW or (v == 0 and node.exponent < 0):
-            return None
-        return v**node.exponent
-    return None
+
+    try:
+        return _evaluate(node, leaf, operator.pow)
+    except (SeqRingError, ZeroDivisionError):
+        return None
 
 
 def parse(text: str, line: int = 1):
@@ -533,80 +537,31 @@ class Result:
     token: str
 
 
-def _eval_sym(node) -> ExpPoly:
-    """Evaluate a series term rule to an exponential polynomial in the summation variable."""
-    if isinstance(node, Num):
-        return ExpPoly.constant(node.value)
-    if isinstance(node, Var):
-        return ExpPoly.single(1, 1, 1)
-    if isinstance(node, ExpBase):
-        return ExpPoly.single(1, 0, node.base)
-    if isinstance(node, Neg):
-        return -_eval_sym(node.operand)
-    if isinstance(node, Add):
-        return _eval_sym(node.left) + _eval_sym(node.right)
-    if isinstance(node, Sub):
-        return _eval_sym(node.left) - _eval_sym(node.right)
-    if isinstance(node, Mul):
-        return _eval_sym(node.left) * _eval_sym(node.right)
-    if isinstance(node, Pow):
-        if abs(node.exponent) > MAX_POW:
-            raise SeqRingError("exponent magnitude above 64", operation="pow")
-        base = _eval_sym(node.operand)
-        if node.exponent < 0:
-            items = base.items()
-            if len(items) != 1:
-                raise SeqRingError(
-                    "negative power needs a single-term base", operation="series"
-                )
-            (b, k), c = items[0]
-            base = ExpPoly.single(1 / c, -k, 1 / b)
-            return _sym_pow(base, -node.exponent)
-        return _sym_pow(base, node.exponent)
-    raise SeqRingError("unsupported series term", operation="series")
-
-
-def _sym_pow(poly: ExpPoly, j: int) -> ExpPoly:
-    out = ExpPoly.constant(1)
-    for _ in range(j):
-        out = out * poly
-    return out
-
-
 def _eval_quantity(node, env: dict) -> Quantity:
-    if isinstance(node, Num):
-        return embed_scalar(node.value)
-    if isinstance(node, NSym):
-        return Quantity.closed(ExpPoly.single(1, 1, 1))
-    if isinstance(node, ExpBase):
-        return Quantity.closed(ExpPoly.single(1, 0, node.base))
-    if isinstance(node, Ref):
-        if node.name not in env:
-            raise SeqRingError(f"unknown name '{node.name}'", operation="execute")
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval_quantity(node.operand, env)
-    if isinstance(node, Add):
-        return _eval_quantity(node.left, env) + _eval_quantity(node.right, env)
-    if isinstance(node, Sub):
-        return _eval_quantity(node.left, env) - _eval_quantity(node.right, env)
-    if isinstance(node, Mul):
-        return _eval_quantity(node.left, env) * _eval_quantity(node.right, env)
-    if isinstance(node, Pow):
-        if abs(node.exponent) > MAX_POW:
-            raise SeqRingError("exponent magnitude above 64", operation="pow")
-        return pow_int(_eval_quantity(node.operand, env), node.exponent)
-    if isinstance(node, Delay):
-        if node.steps > MAX_DELAY:
-            raise SeqRingError("delay length above 100000", operation="delay")
-        return delay(_eval_quantity(node.operand, env), node.steps)
-    if isinstance(node, Patch):
-        return patch(_eval_quantity(node.operand, env), dict(node.overrides))
-    if isinstance(node, SeriesNode):
-        return partial_sums(Series(_eval_sym(node.term), node.start))
-    if isinstance(node, Geom):
-        return geometric_series_sums(node.ratio)
-    raise SeqRingError("unsupported expression", operation="execute")
+    """Evaluate a quantity expression; a series term is one too, in k."""
+
+    def leaf(node):
+        if isinstance(node, Num):
+            return embed_scalar(node.value)
+        if isinstance(node, Var):
+            return Quantity.closed(ExpPoly.single(1, 1, 1))
+        if isinstance(node, ExpBase):
+            return Quantity.closed(ExpPoly.single(1, 0, node.base))
+        if isinstance(node, Ref):
+            if node.name not in env:
+                raise SeqRingError(f"unknown name '{node.name}'", operation="execute")
+            return env[node.name]
+        if isinstance(node, Delay):
+            if node.steps > MAX_DELAY:
+                raise SeqRingError("delay length above 100000", operation="delay")
+            return delay(_eval_quantity(node.operand, env), node.steps)
+        if isinstance(node, Patch):
+            return patch(_eval_quantity(node.operand, env), dict(node.overrides))
+        if isinstance(node, SeriesNode):
+            return partial_sums(Series(_eval_quantity(node.term, env).body, node.start))
+        return geometric_series_sums(node.ratio)  # Geom
+
+    return _evaluate(node, leaf, pow_int)
 
 
 def _fn_object(node) -> tuple[RealFunction, str]:
@@ -614,33 +569,13 @@ def _fn_object(node) -> tuple[RealFunction, str]:
         if node.name not in BUILTINS:
             raise SeqRingError(f"unknown function '{node.name}'", operation="execute")
         return BUILTINS[node.name], node.name
-    body, var = node.body, node.var
 
     def evaluate(x: Fraction) -> Fraction:
-        return _poly_eval(body, var, x)
+        leaf = lambda term: term.value if isinstance(term, Num) else x  # Num or Var
+        return _evaluate(node.body, leaf, operator.pow)
 
-    text = f"{var} -> {_unparse(body)}"
+    text = f"{node.var} -> {_unparse(node.body)}"
     return RealFunction(text, evaluate), text
-
-
-def _poly_eval(node, var: str, x: Fraction) -> Fraction:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_poly_eval(node.operand, var, x)
-    if isinstance(node, Add):
-        return _poly_eval(node.left, var, x) + _poly_eval(node.right, var, x)
-    if isinstance(node, Sub):
-        return _poly_eval(node.left, var, x) - _poly_eval(node.right, var, x)
-    if isinstance(node, Mul):
-        return _poly_eval(node.left, var, x) * _poly_eval(node.right, var, x)
-    if isinstance(node, Pow):
-        if abs(node.exponent) > MAX_POW:
-            raise SeqRingError("exponent magnitude above 64", operation="pow")
-        return _poly_eval(node.operand, var, x) ** node.exponent
-    raise SeqRingError("unsupported function body", operation="execute")
 
 
 def _unparse(node) -> str:
@@ -650,15 +585,9 @@ def _unparse(node) -> str:
         return node.name
     if isinstance(node, Neg):
         return f"-{_unparse(node.operand)}"
-    if isinstance(node, Add):
-        return f"({_unparse(node.left)} + {_unparse(node.right)})"
-    if isinstance(node, Sub):
-        return f"({_unparse(node.left)} - {_unparse(node.right)})"
-    if isinstance(node, Mul):
-        return f"({_unparse(node.left)} * {_unparse(node.right)})"
-    if isinstance(node, Pow):
-        return f"{_unparse(node.operand)}^{node.exponent}"
-    return "?"
+    if isinstance(node, BinOp):
+        return f"({_unparse(node.left)} {node.op} {_unparse(node.right)})"
+    return f"{_unparse(node.operand)}^{node.exponent}"  # Pow
 
 
 def _json_rat(x: Fraction) -> str:

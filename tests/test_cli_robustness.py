@@ -1,0 +1,80 @@
+"""Literals the parser must reject with a position instead of crashing."""
+
+import random
+import sys
+
+import pytest
+
+from seqring.cli import Config, format_json, run_statement
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+needs_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT == 0, reason="this interpreter has no int-string digit limit"
+)
+
+
+def run_one(text):
+    result, code = run_statement(text, {}, Config())
+    return format_json(result, Config()), code
+
+
+def parse_error_at(column, expected):
+    message = f"syntax error at 1:{column}: expected {expected}"
+    return f'{{"kind":"error","operation":"parse","message":"{message}"}}'
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("1/0", 3),
+        ("cmp(N, 1/0)", 10),
+        ("(1/0)^n", 4),
+        ("patch(N, 1:1/0)", 14),
+        ("deriv(x -> x, 1/0)", 17),
+        ("st(-3/00)", 7),
+    ],
+)
+def test_zero_denominator_is_a_parse_error(text, column):
+    assert run_one(text) == (parse_error_at(column, "a nonzero denominator"), 1)
+
+
+@needs_digit_limit
+def test_literal_past_the_digit_limit_is_a_parse_error():
+    long = "1" * (DIGIT_LIMIT + 1)
+    expected = "a numeric literal of fewer digits"
+    cases = [
+        (long, 1),
+        (f"delay(N, {long})", 10),
+        (f"N^{long}", 3),
+        (f"0.{long}", 1),
+        (f"3/{long}", 3),
+        (f"patch(N, {long}:1)", 10),
+    ]
+    for text, column in cases:
+        assert run_one(text) == (parse_error_at(column, expected), 1), text[:20]
+
+
+@needs_digit_limit
+def test_digit_limit_on_outputs_is_unchanged():
+    # A literal at the limit parses; a result past it still fails in render.
+    json_text, code = run_one("9" * DIGIT_LIMIT)
+    assert code == 0 and ("9" * DIGIT_LIMIT) in json_text
+    half = "9" * (DIGIT_LIMIT // 2 + 1)
+    assert run_one(f"{half} * {half}") == (
+        '{"kind":"error","operation":"execute","message":"ValueError"}',
+        2,
+    )
+
+
+def test_fuzz_with_zero_denominators_and_long_literals():
+    rng = random.Random(2024)
+    vocab = [
+        "N", "n", "k", "x", "let", "cmp", "st", "series", "delay", "patch",
+        "deriv", "(", ")", ",", "+", "-", "*", "^", "/", ":", "->", "0", "1",
+        "1/0", "0/0", "7", "0.5", "1" * 5000,
+    ]
+    for _ in range(300):
+        text = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 10)))
+        _, code = run_statement(text, {}, Config())
+        assert code in (0, 1, 2, 3), text[:80]
