@@ -13,11 +13,11 @@ Statements
   qexpr                        evaluate and print the canonical closed form
 
 Quantity expressions
-  qexpr := rat | N | n | IDENT | qexpr (+|-|*) qexpr | -qexpr | qexpr ^ INT
+  qexpr := rat | N | n | IDENT | qexpr (+|-|*) qexpr | -qexpr | qexpr ^ [-]INT
          | base ^ n | base ^ N               exponential sequence b**n
          | delay(qexpr, INT)                 prefix with INT zeros
-         | patch(qexpr, INT:rat, ...)        finite index overrides
-         | series(kexpr) [from INT]          closed-form partial sums
+         | patch(qexpr, INT:rat, ...)        finite index overrides, INT >= 1
+         | series(kexpr) [from INT]          closed-form partial sums, INT >= 1
          | geom(rat)                         partial sums (1 - e^n)/(1 - e)
          | (qexpr)
   base  := rat | (cexpr)              cexpr: rationals under + - * unary -
@@ -25,7 +25,8 @@ Quantity expressions
   kexpr := expression in k: rationals, k, base ^ k, + - * unary - and ^INT
   fn    := sin|cos|exp|log|sqrt|abs|step | IDENT -> a polynomial in IDENT
            with rational coefficients and integer (also negative) powers
-  rat   := INT | INT/INT | decimal literal (converted exactly)
+  rat   := [-]INT | [-]INT/INT | [-]decimal literal (converted exactly)
+  INT   := unsigned integer literal
 
 All expression contexts share one evaluator, so + - * unary - and ^INT
 (|INT| <= 64) mean the same everywhere; a negative power needs an inverse (a
@@ -368,7 +369,7 @@ class _Parser:
         if tok.kind == "MINUS":
             self.advance()
             sign = -1
-        return Pow(node, sign * self.integer("an integer exponent"))
+        return Pow(node, sign * self.integer("an integer exponent", 0))
 
     def atom(self, ctx, var):
         tok = self.peek()
@@ -392,7 +393,7 @@ class _Parser:
             self.expect("LPAREN", "'('")
             operand = self.qexpr()
             self.expect("COMMA", "','")
-            steps = self.integer("a delay length")
+            steps = self.integer("a delay length >= 0", 0)
             self.expect("RPAREN", "')'")
             return Delay(operand, steps)
         if tok.text == "patch":
@@ -402,7 +403,7 @@ class _Parser:
             entries = []
             while self.peek().kind == "COMMA":
                 self.advance()
-                idx = self.integer("a patch index")
+                idx = self.integer("a patch index >= 1", 1)
                 self.expect("COLON", "':'")
                 entries.append((idx, self.rational()))
             self.expect("RPAREN", "')'")
@@ -417,7 +418,7 @@ class _Parser:
             start = 1
             if self.peek().kind == "IDENT" and self.peek().text == "from":
                 self.advance()
-                start = self.integer("a start index")
+                start = self.integer("a start index >= 1", 1)
             return SeriesNode(term, start)
         if tok.text == "geom":
             self.advance()
@@ -457,15 +458,12 @@ class _Parser:
             value /= divisor
         return sign * value
 
-    def integer(self, what: str) -> int:
-        sign = 1
-        if self.peek().kind == "MINUS":
-            self.advance()
-            sign = -1
+    def integer(self, what: str, low: int) -> int:
         tok = self.expect("NUM", what)
-        if "." in tok.text:
-            self.fail(what)
-        return sign * self.convert(tok, int)
+        value = None if "." in tok.text else self.convert(tok, int)
+        if value is None or value < low:
+            raise ExprSyntaxError(self.line, tok.col, what)
+        return value
 
     def convert(self, tok: Token, kind):
         try:

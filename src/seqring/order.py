@@ -22,9 +22,11 @@ finite-prefix tolerance mirroring "all but finitely many".
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .errors import LazyInput, ZeroDivisor
 from .quantity import ExpPoly, Quantity, eval_at, sub
@@ -32,6 +34,10 @@ from .quantity import ExpPoly, Quantity, eval_at, sub
 DEFAULT_HORIZON = 10_000
 
 EVEN, ODD = 0, 1
+
+# A parity restriction's dominant ((|base|, power), combined coefficient), or
+# None when the restriction vanishes identically.
+Lead = tuple[tuple[Fraction, int], Fraction] | None
 
 
 class Comparison(Enum):
@@ -83,29 +89,22 @@ class Classification:
     standard_part: Fraction | None = None
 
 
-def _parity_groups(e: ExpPoly) -> dict[tuple[Fraction, int], list[Fraction]]:
-    """Combined coefficients per (|base|, power) group: [even part, odd part]."""
+def _leads(e: ExpPoly) -> tuple[Lead, Lead]:
+    """Dominant group and combined coefficient per parity (even, odd); None where it vanishes.
+
+    This table is the per-parity certificate behind every exact decision.
+    """
     groups: dict[tuple[Fraction, int], list[Fraction]] = {}
     for (base, power), c in e.items():
-        key = (abs(base), power)
-        slot = groups.setdefault(key, [Fraction(0), Fraction(0)])
-        if base > 0:
-            slot[EVEN] += c
-            slot[ODD] += c
-        else:
-            slot[EVEN] += c
-            slot[ODD] -= c
-    return groups
-
-
-def _parity_leading(e: ExpPoly, parity: int) -> tuple[tuple[Fraction, int], Fraction] | None:
-    """Dominant group and combined coefficient of the parity restriction, or None if it vanishes."""
-    groups = _parity_groups(e)
+        slot = groups.setdefault((abs(base), power), [Fraction(0), Fraction(0)])
+        slot[EVEN] += c
+        slot[ODD] += c if base > 0 else -c
+    leads: list[Lead] = [None, None]
     for key in sorted(groups, reverse=True):
-        c = groups[key][parity]
-        if c != 0:
-            return key, c
-    return None
+        for parity, c in enumerate(groups[key]):
+            if leads[parity] is None and c != 0:
+                leads[parity] = (key, c)
+    return leads[EVEN], leads[ODD]
 
 
 def _sign(x: Fraction) -> int:
@@ -114,11 +113,8 @@ def _sign(x: Fraction) -> int:
 
 def eventual_sign(e: ExpPoly) -> ParitySign:
     """Eventual sign of the sequence on each parity class."""
-    signs = []
-    for parity in (EVEN, ODD):
-        lead = _parity_leading(e, parity)
-        signs.append(0 if lead is None else _sign(lead[1]))
-    return ParitySign(signs[EVEN], signs[ODD])
+    even, odd = (0 if lead is None else _sign(lead[1]) for lead in _leads(e))
+    return ParitySign(even, odd)
 
 
 def compare(q1: Quantity, q2: Quantity) -> Comparison:
@@ -147,6 +143,17 @@ def first_checked_index(horizon: int) -> int:
     return -(-horizon // 10) + 1
 
 
+def _scan(ok: Callable[[int], bool], horizon: int) -> Verdict:
+    """Fails at the first index past the exempt window where ok is false, else holds."""
+    for n in range(first_checked_index(horizon), horizon + 1):
+        if not ok(n):
+            return Verdict.fails(n)
+    return Verdict.holds(horizon)
+
+
+_CLAIMS = {Comparison.LESS: operator.lt, Comparison.EQUAL: operator.eq, Comparison.GREATER: operator.gt}
+
+
 def compare_lazy(
     q1: Quantity, q2: Quantity, claim: Comparison, horizon: int = DEFAULT_HORIZON
 ) -> Verdict:
@@ -157,19 +164,10 @@ def compare_lazy(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    tests = {
-        Comparison.LESS: lambda a, b: a < b,
-        Comparison.EQUAL: lambda a, b: a == b,
-        Comparison.GREATER: lambda a, b: a > b,
-    }
-    if claim not in tests:
+    if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
-    ok = tests[claim]
-    start = first_checked_index(horizon)
-    for n in range(start, horizon + 1):
-        if not ok(eval_at(q1, n), eval_at(q2, n)):
-            return Verdict.fails(n)
-    return Verdict.holds(horizon)
+    ok = _CLAIMS[claim]
+    return _scan(lambda n: ok(eval_at(q1, n), eval_at(q2, n)), horizon)
 
 
 def _term_vanishes(base: Fraction, power: int) -> bool:
@@ -178,21 +176,11 @@ def _term_vanishes(base: Fraction, power: int) -> bool:
     return ab < 1 or (ab == 1 and power <= -1)
 
 
-def _probe_ks(horizon: int) -> list[int]:
-    ks, k = [], 1
-    while k <= horizon // 10:
-        ks.append(k)
+def _probe_k(horizon: int) -> int:
+    k = 1
+    while k * 10 <= horizon // 10:
         k *= 10
-    return ks or [1]
-
-
-def _lazy_is_small(q: Quantity, horizon: int) -> Verdict:
-    start = first_checked_index(horizon)
-    bound = Fraction(1, _probe_ks(horizon)[-1])
-    for n in range(start, horizon + 1):
-        if abs(eval_at(q, n)) >= bound:
-            return Verdict.fails(n)
-    return Verdict.holds(horizon)
+    return k
 
 
 def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
@@ -205,12 +193,19 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """
     if q.is_closed:
         return all(_term_vanishes(base, power) for (base, power), _ in q.body.items())
-    return _lazy_is_small(q, horizon)
+    bound = Fraction(1, _probe_k(horizon))
+    return _scan(lambda n: abs(eval_at(q, n)) < bound, horizon)
 
 
 def _growing(key: tuple[Fraction, int]) -> bool:
     ab, power = key
     return ab > 1 or (ab == 1 and power >= 1)
+
+
+def _great_sign(leads: tuple[Lead, Lead]) -> int:
+    # +1 or -1 for one-signed unbounded growth on both parities, else 0.
+    even, odd = (0 if lead is None or not _growing(lead[0]) else _sign(lead[1]) for lead in leads)
+    return even if even == odd else 0
 
 
 def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
@@ -222,25 +217,13 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     the exemption window for each probed k.
     """
     if q.is_closed:
-        signs = []
-        for parity in (EVEN, ODD):
-            lead = _parity_leading(q.body, parity)
-            if lead is None or not _growing(lead[0]):
-                return 0
-            signs.append(_sign(lead[1]))
-        if signs[EVEN] == signs[ODD]:
-            return signs[EVEN]
-        return 0
+        return _great_sign(_leads(q.body))
     direction = _sign(eval_at(q, horizon))
     if direction == 0:
         return Verdict.fails(horizon)
-    start = first_checked_index(horizon)
-    bound = Fraction(_probe_ks(horizon)[-1])
-    for n in range(start, horizon + 1):
-        v = eval_at(q, n)
-        if _sign(v) != direction or abs(v) <= bound:
-            return Verdict.fails(n)
-    return Verdict.holds(horizon)
+    bound = _probe_k(horizon)
+    # With direction = +-1 and bound >= 1: same sign as direction and |q(n)| > bound.
+    return _scan(lambda n: direction * eval_at(q, n) > bound, horizon)
 
 
 def infinitely_greater(q1: Quantity, q2: Quantity) -> bool:
@@ -255,17 +238,13 @@ def infinitely_greater(q1: Quantity, q2: Quantity) -> bool:
     """
     if not (q1.is_closed and q2.is_closed):
         raise LazyInput("infinitely_greater needs closed forms")
-    d = q1.body - q2.body
-    for parity in (EVEN, ODD):
-        l1 = _parity_leading(q1.body, parity)
-        l2 = _parity_leading(q2.body, parity)
+    for l1, l2, ld in zip(_leads(q1.body), _leads(q2.body), _leads(q1.body - q2.body)):
         if l2 is None:
-            ok = l1 is not None and _sign(l1[1]) > 0
-        elif _sign(l2[1]) < 0:
-            ld = _parity_leading(d, parity)
-            ok = ld is not None and _sign(ld[1]) > 0
+            ok = l1 is not None and l1[1] > 0
+        elif l2[1] < 0:
+            ok = ld is not None and ld[1] > 0
         else:
-            ok = l1 is not None and _sign(l1[1]) > 0 and l1[0] > l2[0]
+            ok = l1 is not None and l1[1] > 0 and l1[0] > l2[0]
         if not ok:
             return False
     return True
@@ -294,7 +273,7 @@ def classify(q: Quantity) -> Classification:
         return Classification("infinitesimal")
     if all(_term_vanishes(base, power) or (base, power) == (1, 0) for (base, power), _ in items):
         return Classification("finite", q.body.coeff(1, 0))
-    g = is_infinitely_great(q)
+    g = _great_sign(_leads(q.body))
     if g > 0:
         return Classification("inf+")
     if g < 0:
@@ -329,7 +308,7 @@ def classify_lazy(
     if spread < tol:
         mid = sorted(tail)[len(tail) // 2]
         return Classification("finite", mid)
-    bound = Fraction(_probe_ks(horizon)[-1])
+    bound = _probe_k(horizon)
     if all(v > bound for v in tail):
         return Classification("inf+")
     if all(v < -bound for v in tail):
@@ -349,9 +328,7 @@ def proportionality_constant(q1: Quantity, q2: Quantity) -> Fraction | None:
         raise ZeroDivisor("ratio against a quantity equal to zero")
     if q1.body.is_zero:
         return Fraction(0)
-    (base, power), c2 = max(
-        q2.body.items(), key=lambda kv: (abs(kv[0][0]), kv[0][1], kv[0][0])
-    )
+    (base, power), c2 = q2.body.items()[0]  # the dominant key: items() is in canonical order
     c1 = q1.body.coeff(base, power)
     if c1 == 0:
         return None

@@ -19,6 +19,7 @@ memo is invisible to equality, hashing and rendering.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -369,21 +370,21 @@ def eval_at(q: Quantity, n: int) -> Fraction:
     return _rat(q.seq.evaluator(n))
 
 
-def _merge_pointwise(q1: Quantity, q2: Quantity, body: ExpPoly, op) -> Quantity:
-    support = set(q1.patch) | set(q2.patch)
-    patch = {i: op(eval_at(q1, i), eval_at(q2, i)) for i in support}
-    return Quantity.closed(body, patch)
+def _pointwise(q1, q2, op, symbol: str) -> Quantity:
+    q1, q2 = _coerce(q1), _coerce(q2)
+    if q1.is_closed and q2.is_closed:
+        support = set(q1.patch) | set(q2.patch)
+        patch = {i: op(eval_at(q1, i), eval_at(q2, i)) for i in support}
+        return Quantity.closed(op(q1.body, q2.body), patch)
+    return Quantity.lazy(
+        lambda n: op(eval_at(q1, n), eval_at(q2, n)),
+        f"({q1.description} {symbol} {q2.description})",
+    )
 
 
 def add(q1, q2) -> Quantity:
     """Pointwise sum."""
-    q1, q2 = _coerce(q1), _coerce(q2)
-    if q1.is_closed and q2.is_closed:
-        return _merge_pointwise(q1, q2, q1.body + q2.body, lambda a, b: a + b)
-    return Quantity.lazy(
-        lambda n: eval_at(q1, n) + eval_at(q2, n),
-        f"({q1.description} + {q2.description})",
-    )
+    return _pointwise(q1, q2, operator.add, "+")
 
 
 def neg(q) -> Quantity:
@@ -400,13 +401,7 @@ def sub(q1, q2) -> Quantity:
 
 def mul(q1, q2) -> Quantity:
     """Pointwise product."""
-    q1, q2 = _coerce(q1), _coerce(q2)
-    if q1.is_closed and q2.is_closed:
-        return _merge_pointwise(q1, q2, q1.body * q2.body, lambda a, b: a * b)
-    return Quantity.lazy(
-        lambda n: eval_at(q1, n) * eval_at(q2, n),
-        f"({q1.description} * {q2.description})",
-    )
+    return _pointwise(q1, q2, operator.mul, "*")
 
 
 def pow_int(q, j: int) -> Quantity:
@@ -476,9 +471,5 @@ def patch(q, overrides: Mapping[int, object]) -> Quantity:
     if not q.is_closed:
         raise LazyPatchUnsupported("cannot patch a lazy sequence")
     merged = dict(q.patch)
-    for i, v in overrides.items():
-        i = int(i)
-        if i < 1:
-            raise ValueError("patch indices start at 1")
-        merged[i] = _rat(v)
+    merged.update((int(i), v) for i, v in overrides.items())
     return Quantity.closed(q.body, merged)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import BaseOne, DegreeCapExceeded, InvalidTerm, NegativePowerTerm
-from .quantity import ExpPoly, Quantity, embed_scalar, eval_at
+from .quantity import ExpPoly, Quantity, embed_scalar
 
 DEGREE_CAP = 16
 
@@ -111,15 +111,7 @@ def omit_first(s: Series, m: int) -> Quantity:
     """Drop the first m terms: 0 up to index m, then S(n) - S(m)."""
     if m < 0:
         raise ValueError("cannot omit a negative number of terms")
-    sums = partial_sums(s)
-    if m == 0:
-        return sums
-    at_m = eval_at(sums, m)
-    body = sums.body - ExpPoly.constant(at_m)
-    overrides = {i: v - at_m for i, v in sums.patch.items() if i > m}
-    for i in range(1, m + 1):
-        overrides[i] = Fraction(0)
-    return Quantity.closed(body, overrides)
+    return partial_sums(Series(s.term, max(s.start, m + 1)))
 
 
 def geometric_series_sums(e) -> Quantity:

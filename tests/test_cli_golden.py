@@ -6,6 +6,8 @@ implementation that had one tree walker per expression context, so a change
 to parsing, evaluation or rendering shows up here as a diff. The corpus hits
 every AST node type, every command, lambda renderings with ``-``, unary
 ``-`` and ``^``, constant-folded exponential bases, and each error path.
+The lines ``series(1) from 0`` and ``patch(N, 0:1)`` were later changed from
+a library ``ValueError`` (exit 2) to a parse error at the index (exit 1).
 """
 
 import dataclasses
@@ -50,8 +52,8 @@ GOLDEN = [
      '{"kind":"quantity","rendering":"-6*n^0*1^n + 2*n^1*2/3^n + 6*n^0*2/3^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
     ('series((2*k)^-1)', 2,
      '{"kind":"error","operation":"partial_sums","message":"NegativePowerTerm"}'),
-    ('series(1) from 0', 2,
-     '{"kind":"error","operation":"execute","message":"ValueError"}'),
+    ('series(1) from 0', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:16: expected a start index >= 1"}'),
     ('geom(3/4)', 0,
      '{"kind":"quantity","rendering":"4*n^0*1^n - 4*n^0*3/4^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
     ('geom(1)', 0,
@@ -130,8 +132,8 @@ GOLDEN = [
      '{"kind":"error","operation":"delay","message":"SeqRingError"}'),
     ('delay(N^-1, 2)', 2,
      '{"kind":"error","operation":"delay","message":"NegativePowerDelay"}'),
-    ('patch(N, 0:1)', 2,
-     '{"kind":"error","operation":"execute","message":"ValueError"}'),
+    ('patch(N, 0:1)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:10: expected a patch index >= 1"}'),
     ('mystery + 1', 2,
      '{"kind":"error","operation":"execute","message":"SeqRingError"}'),
     ('cmp(N + )', 1,

@@ -39,6 +39,23 @@ def test_zero_denominator_is_a_parse_error(text, column):
     assert run_one(text) == (parse_error_at(column, "a nonzero denominator"), 1)
 
 
+@pytest.mark.parametrize(
+    "text, column, expected",
+    [
+        ("patch(N, 0:1)", 10, "a patch index >= 1"),
+        ("patch(N, -2:1)", 10, "a patch index >= 1"),
+        ("patch(N, 1:5, 2.5:1)", 15, "a patch index >= 1"),
+        ("series(1) from 0", 16, "a start index >= 1"),
+        ("series(k) from -3", 16, "a start index >= 1"),
+        ("delay(N, -1)", 10, "a delay length >= 0"),
+        ("N^--2", 4, "an integer exponent"),
+        ("N^2.5", 3, "an integer exponent"),
+    ],
+)
+def test_out_of_range_integer_is_a_parse_error(text, column, expected):
+    assert run_one(text) == (parse_error_at(column, expected), 1)
+
+
 @needs_digit_limit
 def test_literal_past_the_digit_limit_is_a_parse_error():
     long = "1" * (DIGIT_LIMIT + 1)

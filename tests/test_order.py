@@ -229,6 +229,40 @@ def test_lazy_great_verdict():
     assert v.status == "holds"
 
 
+def _form(*terms):
+    """Closed form from (coeff, power, base) terms."""
+    return Quantity.closed(ExpPoly({(F(b), k): F(c) for c, k, b in terms}))
+
+
+# Forms whose +B/-B pairs cancel on one parity; expected values were captured
+# from the implementation that rebuilt the parity groups once per parity.
+# Columns: (even sign, odd sign), is_infinitely_great, classify kind.
+PARITY_CANCELLING = [
+    ("2^n + (-2)^n", _form((1, 0, 2), (1, 0, -2)), (1, 0), 0, "oscillating"),
+    ("2^n - (-2)^n", _form((1, 0, 2), (-1, 0, -2)), (0, 1), 0, "oscillating"),
+    ("1 + (-1)^n", _form((1, 0, 1), (1, 0, -1)), (1, 0), 0, "oscillating"),
+    ("3 + (-1)^n*N^-1", _form((3, 0, 1), (1, -1, -1)), (1, 1), 0, "finite"),
+    ("N^2 - (-1)^n*N^2 + N", _form((1, 2, 1), (-1, 2, -1), (1, 1, 1)), (1, 1), 1, "inf+"),
+    ("N^2 + (-1)^n*N^2 - N", _form((1, 2, 1), (1, 2, -1), (-1, 1, 1)), (1, -1), 0, "oscillating"),
+    ("2^n + (-2)^n + N", _form((1, 0, 2), (1, 0, -2), (1, 1, 1)), (1, 1), 1, "inf+"),
+    ("-2^n - (-2)^n - N^3", _form((-1, 0, 2), (-1, 0, -2), (-1, 3, 1)), (-1, -1), -1, "inf-"),
+    ("(-1)^n*N - (-1)^n", _form((1, 1, -1), (-1, 0, -1)), (1, -1), 0, "oscillating"),
+    ("3^n - (-3)^n - 2^n", _form((1, 0, 3), (-1, 0, -3), (-1, 0, 2)), (-1, 1), 0, "oscillating"),
+]
+
+
+@pytest.mark.parametrize(
+    "q, signs, great, kind",
+    [case[1:] for case in PARITY_CANCELLING],
+    ids=[case[0] for case in PARITY_CANCELLING],
+)
+def test_parity_cancelling_decisions(q, signs, great, kind):
+    s = eventual_sign(q.body)
+    assert (s.even, s.odd) == signs
+    assert is_infinitely_great(q) == great
+    assert classify(q).kind == kind
+
+
 # ------------------------------------------------------------------
 # infinitely_greater
 # ------------------------------------------------------------------
@@ -265,6 +299,35 @@ def test_infinitely_greater_oscillating_rhs():
 def test_infinitely_greater_zero_rhs_needs_positive():
     assert infinitely_greater(N, ZERO) is True
     assert infinitely_greater(OSC_B, ZERO) is False  # vanishes on odd indices
+
+
+# q2 restrictions that take different branches on the two parities: one
+# vanishes, or one is eventually negative and the other eventually positive.
+ALT_N = _form((1, 1, 1), (1, 1, -1))  # N + (-1)^n*N: 2N on even, 0 on odd
+ALT_N_ODD = _form((1, 1, 1), (-1, 1, -1))  # N - (-1)^n*N: 0 on even, 2N on odd
+NEG_ODD = _form((-1, 1, 1), (1, 1, -1))  # -N + (-1)^n*N: 0 on even, -2N on odd
+ALT_2 = _form((1, 0, 2), (-1, 0, -2))  # 2^n - (-2)^n: 0 on even, 2*2^n on odd
+SPLIT = _form((-1, 2, 1), (-1, 2, -1), (1, 1, 1))  # -2N^2 + N on even, N on odd
+
+
+@pytest.mark.parametrize(
+    "q1, q2, expected",
+    [
+        (_form((1, 2, 1)), ALT_N, True),
+        (_form((1, 2, 1)), ALT_N_ODD, True),
+        (embed_scalar(1), NEG_ODD, True),
+        (embed_scalar(-1), NEG_ODD, False),
+        (_form((1, 0, 3), (1, 0, -3)), ALT_2, False),
+        (_form((1, 0, 3)), ALT_2, True),
+        (_form((1, 0, 2)), ALT_2, False),
+        (N, SPLIT, False),
+        (_form((1, 3, 1)), SPLIT, True),
+        (_form((-1, 3, 1)), SPLIT, False),
+        (OSC_B, OSC_A, False),
+    ],
+)
+def test_infinitely_greater_parity_branches(q1, q2, expected):
+    assert infinitely_greater(q1, q2) is expected
 
 
 def test_infinitely_greater_finite_instance_soundness():
