@@ -15,9 +15,9 @@ Statements
 Quantity expressions
   qexpr := rat | N | n | IDENT | qexpr (+|-|*) qexpr | -qexpr | qexpr ^ [-]INT
          | base ^ n | base ^ N               exponential sequence b**n
-         | delay(qexpr, INT)                 prefix with INT zeros
+         | delay(qexpr, INT)                 prefix with INT zeros, INT <= 100000
          | patch(qexpr, INT:rat, ...)        finite index overrides, INT >= 1
-         | series(kexpr) [from INT]          closed-form partial sums, INT >= 1
+         | series(kexpr) [from INT]          closed-form partial sums, 1 <= INT <= 100000
          | geom(rat)                         partial sums (1 - e^n)/(1 - e)
          | (qexpr)
   base  := rat | (cexpr)              cexpr: rationals under + - * unary -
@@ -556,6 +556,8 @@ def _eval_quantity(node, env: dict) -> Quantity:
         if isinstance(node, Patch):
             return patch(_eval_quantity(node.operand, env), dict(node.overrides))
         if isinstance(node, SeriesNode):
+            if node.start > MAX_DELAY:
+                raise SeqRingError("series start above 100000", operation="partial_sums")
             return partial_sums(Series(_eval_quantity(node.term, env).body, node.start))
         return geometric_series_sums(node.ratio)  # Geom
 

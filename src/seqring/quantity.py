@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from math import comb, gcd, lcm
 from typing import Callable, Iterable, Mapping
 
@@ -173,6 +174,25 @@ class ExpPoly:
         self._memo = (n, value, scale, powers, plan)
         return value
 
+    def zeros(self, hi: int) -> set[int]:
+        """The indices 1..hi where the value is 0.
+
+        S(n) in ``value_at`` is never 0, so the value is 0 exactly where the
+        integer I(n) is.  Each term of I(n) steps a_i * r_i**n by one
+        multiplication by the small r_i per index, and no Fraction is built.
+        A single term c * n**k * b**n never vanishes.
+        """
+        if not self._coeffs:
+            return set(range(1, hi + 1))
+        if len(self._coeffs) == 1:
+            return set()
+        ns = range(1, hi + 1)
+        columns = []  # per term: a_i * r_i**n * n**k_i for n in ns
+        for a, r, k in self._plan()[3]:
+            column = accumulate(repeat(r, hi - 1), operator.mul, initial=a * r)
+            columns.append(map(operator.mul, column, map(pow, ns, repeat(k))) if k else column)
+        return set(compress(ns, map(operator.not_, map(sum, zip(*columns)))))
+
     def _plan(self) -> tuple[Fraction, Fraction, int, tuple[tuple[int, int, int], ...]]:
         # (g/D, G/Q, K, ((a_i, r_i, k_i + K) per term)): see value_at.
         coeffs, keys = self._coeffs.values(), self._coeffs.keys()
@@ -281,6 +301,21 @@ class Quantity:
                 if v != body.value_at(i):  # keep patches minimal
                     cleaned[i] = v
         return cls(body, cleaned, None)
+
+    @classmethod
+    def zero_prefixed(cls, body: ExpPoly, m: int, tail: PrefixPatch | None = None) -> "Quantity":
+        """``body`` with value 0 at indices 1..m and the overrides ``tail`` past m.
+
+        The prefix skips the indices where the body is already 0, which keeps
+        the patch as minimal as ``closed`` would; ``tail`` must be minimal
+        already.  All prefix entries share one ``Fraction(0)``.
+        """
+        prefix: PrefixPatch = dict.fromkeys(range(1, m + 1), Fraction(0))
+        for i in body.zeros(m):
+            del prefix[i]
+        if tail:
+            prefix.update(tail)
+        return cls(body, prefix, None)
 
     @classmethod
     def lazy(cls, evaluator: Callable[[int], Fraction], description: str = "lazy") -> "Quantity":
@@ -459,10 +494,8 @@ def delay(q, m: int) -> Quantity:
             out[key] = out.get(key, Fraction(0)) + shifted * comb(power, j) * Fraction(-m) ** (
                 power - j
             )
-    patch: PrefixPatch = {i + m: v for i, v in q.patch.items()}
-    for i in range(1, m + 1):
-        patch[i] = Fraction(0)
-    return Quantity.closed(ExpPoly(out), patch)
+    # body(i + m) = q.body(i), so the shifted overrides stay minimal.
+    return Quantity.zero_prefixed(ExpPoly(out), m, {i + m: v for i, v in q.patch.items()})
 
 
 def patch(q, overrides: Mapping[int, object]) -> Quantity:

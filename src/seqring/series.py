@@ -104,7 +104,7 @@ def partial_sums(s: Series, cap: int = DEGREE_CAP) -> Quantity:
         return Quantity.closed(total)
     head = total.value_at(s.start - 1)
     body = total - ExpPoly.constant(head)
-    return Quantity.closed(body, {i: 0 for i in range(1, s.start)})
+    return Quantity.zero_prefixed(body, s.start - 1)
 
 
 def omit_first(s: Series, m: int) -> Quantity:

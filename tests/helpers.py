@@ -62,6 +62,32 @@ def naive_eval(q: Quantity, n: int) -> F:
     return q.patch[n] if n in q.patch else naive_value(q.body, n)
 
 
+# Bodies that vanish at some index below 1 once read at n - m, so that a zero
+# prefix built over them meets indices where the body is already 0:
+# N + 3, N^2 - 9, 2^n - (1/2)^n, 1 + (-1)^n and N^3 - N^2*(-1)^n - 3N + 3*(-1)^n.
+VANISHING_BODIES = [
+    ExpPoly({(F(1), 1): F(1), (F(1), 0): F(3)}),
+    ExpPoly({(F(1), 2): F(1), (F(1), 0): F(-9)}),
+    ExpPoly({(F(2), 0): F(1), (F(1, 2), 0): F(-1)}),
+    ExpPoly({(F(1), 0): F(1), (F(-1), 0): F(1)}),
+    ExpPoly({(F(1), 3): F(1), (F(-1), 2): F(-1), (F(1), 1): F(-3), (F(-1), 0): F(3)}),
+]
+
+
+def check_zero_prefix(q: Quantity, m: int, expected) -> None:
+    """q is 0 at 1..m and ``expected(n)`` at m < n <= m + 5, and its patch is minimal.
+
+    Values are read through the patch and ``naive_value``, and through
+    ``eval_at``.  A patch entry equal to the body's own value is redundant.
+    """
+    for n in range(1, m + 6):
+        want = F(0) if n <= m else expected(n)
+        assert naive_eval(q, n) == want, n
+        assert eval_at(q, n) == want, n
+    for i, v in q.patch.items():
+        assert v != naive_value(q.body, i), i
+
+
 def brute_partial_sum(term: ExpPoly, n: int, start: int = 1) -> F:
     """Independent summation oracle: add term values one index at a time."""
     total = F(0)

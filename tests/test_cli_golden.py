@@ -8,6 +8,9 @@ every AST node type, every command, lambda renderings with ``-``, unary
 ``-`` and ``^``, constant-folded exponential bases, and each error path.
 The lines ``series(1) from 0`` and ``patch(N, 0:1)`` were later changed from
 a library ``ValueError`` (exit 2) to a parse error at the index (exit 1).
+The lines ``series(1) from 100000`` and ``series(1) from 100001`` were added
+with the cap on series starts; the first is the output the code gave before
+the cap.
 """
 
 import dataclasses
@@ -130,6 +133,13 @@ GOLDEN = [
      '{"kind":"error","operation":"pow","message":"SeqRingError"}'),
     ('delay(N, 100001)', 2,
      '{"kind":"error","operation":"delay","message":"SeqRingError"}'),
+    # The body n - 99999 is 0 at index 99999, so the zero prefix stops at 99998.
+    ('series(1) from 100000', 0,
+     '{"kind":"quantity","rendering":"patch(1*n^1*1^n - 99999*n^0*1^n, '
+     + ', '.join(f'{i}:0' for i in range(1, 99999))
+     + ')","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    ('series(1) from 100001', 2,
+     '{"kind":"error","operation":"partial_sums","message":"SeqRingError"}'),
     ('delay(N^-1, 2)', 2,
      '{"kind":"error","operation":"delay","message":"NegativePowerDelay"}'),
     ('patch(N, 0:1)', 1,

@@ -56,6 +56,21 @@ def test_out_of_range_integer_is_a_parse_error(text, column, expected):
     assert run_one(text) == (parse_error_at(column, expected), 1)
 
 
+@pytest.mark.parametrize(
+    "text, operation",
+    [
+        ("series(1) from 100001", "partial_sums"),
+        ("series(k) from 999999999", "partial_sums"),
+        # The caps come before the operand is evaluated, so its own error never shows.
+        ("series(k^65) from 100001", "partial_sums"),
+        ("delay(N^-1, 100001)", "delay"),
+    ],
+)
+def test_lengths_above_the_cap_are_refused_before_any_work(text, operation):
+    expected = f'{{"kind":"error","operation":"{operation}","message":"SeqRingError"}}'
+    assert run_one(text) == (expected, 2)
+
+
 @needs_digit_limit
 def test_literal_past_the_digit_limit_is_a_parse_error():
     long = "1" * (DIGIT_LIMIT + 1)

@@ -4,7 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import naive_value, random_poly, random_quantity
+from helpers import (
+    VANISHING_BODIES,
+    check_zero_prefix,
+    naive_eval,
+    naive_value,
+    random_poly,
+    random_quantity,
+)
 
 from seqring import (
     ExpPoly,
@@ -261,6 +268,29 @@ def test_delay_negative_power_lowers_via_lazy():
     q = delay(recip, 2)
     assert eval_at(q, 1) == 0
     assert eval_at(q, 5) == F(1, 3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 40])
+def test_delay_prefix_skips_indices_where_the_body_vanishes(m):
+    for body in VANISHING_BODIES:
+        q = Quantity.closed(body)
+        d = delay(q, m)
+        check_zero_prefix(d, m, lambda n: naive_eval(q, n - m))
+        if m >= 4:  # each body is 0 at some index 1..m once delayed this far
+            assert len(d.patch) < m
+
+
+def test_delay_prefix_of_one_term_and_patched_bodies():
+    one_term = Quantity.closed(ExpPoly.single(F(-3, 2), 0, F(-1, 2)))
+    patched = patch(Quantity.closed(VANISHING_BODIES[1]), {1: F(7), 2: F(0), 5: F(-1, 3)})
+    assert patched.patch == {1: F(7), 2: F(0), 5: F(-1, 3)}
+    for q in (one_term, patched, N):
+        for m in (1, 3, 6, 25):
+            d = delay(q, m)
+            check_zero_prefix(d, m, lambda n: naive_eval(q, n - m))
+            assert {i: v for i, v in d.patch.items() if i > m} == {
+                i + m: v for i, v in q.patch.items()
+            }
 
 
 def test_delay_composes():

@@ -4,7 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import brute_partial_sum, naive_value, random_poly
+from helpers import (
+    VANISHING_BODIES,
+    brute_partial_sum,
+    check_zero_prefix,
+    naive_value,
+    random_poly,
+)
 
 from seqring import (
     BaseOne,
@@ -165,6 +171,18 @@ def test_partial_sums_linear():
         combined = partial_sums(Series(t1 + t2))
         split = add(partial_sums(Series(t1)), partial_sums(Series(t2)))
         assert combined.body == split.body
+
+
+@pytest.mark.parametrize("start", [2, 3, 4, 8, 51])
+def test_series_prefix_skips_indices_where_the_body_vanishes(start):
+    alternating = ExpPoly.single(1, 0, -1)
+    for term in VANISHING_BODIES + [alternating, ExpPoly.single(3, 0, F(1, 2))]:
+        q = partial_sums(Series(term, start))
+        check_zero_prefix(q, start - 1, lambda n: brute_partial_sum(term, n, start))
+        # The body S(n) - S(start - 1) is 0 at start - 1.
+        assert start - 1 not in q.patch
+    q = omit_first(Series(alternating, 3), 5)
+    check_zero_prefix(q, 5, lambda n: brute_partial_sum(alternating, n, 6))
 
 
 def test_omit_first_of_ones():
