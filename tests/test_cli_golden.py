@@ -1,22 +1,25 @@
-"""Golden JSON for the expression language.
+"""Golden JSON and text output for the expression language.
 
-A fixed corpus runs in order, in one environment, through ``run_statement``
-and ``format_json``. Each line's exit code and JSON were captured from the
-implementation that had one tree walker per expression context, so a change
-to parsing, evaluation or rendering shows up here as a diff. The corpus hits
+A fixed corpus runs in order, in one environment, through ``run_statement``,
+``format_json`` and ``format_text``. Each line's exit code and JSON were
+captured from the implementation that had one tree walker per expression
+context, so a change to parsing, evaluation or rendering shows up here as a
+diff. The corpus hits
 every AST node type, every command, lambda renderings with ``-``, unary
 ``-`` and ``^``, constant-folded exponential bases, and each error path.
 The lines ``series(1) from 0`` and ``patch(N, 0:1)`` were later changed from
 a library ``ValueError`` (exit 2) to a parse error at the index (exit 1).
 The lines ``series(1) from 100000`` and ``series(1) from 100001`` were added
 with the cap on series starts; the first is the output the code gave before
-the cap.
+the cap. The text lines and the argument-error lines at the end of the corpus
+were captured from the implementation that parsed each named call with its
+own code.
 """
 
 import dataclasses
 
 from seqring import cli
-from seqring.cli import Config, format_json, parse, run_statement
+from seqring.cli import Config, format_json, format_text, parse, run_statement
 
 GOLDEN = [
     ('let a = 2*N - 1/2', 0,
@@ -154,7 +157,119 @@ GOLDEN = [
      '{"kind":"error","operation":"parse","message":"syntax error at 1:12: expected the function variable \'x\' or a rational"}'),
     ('series(N)', 1,
      '{"kind":"error","operation":"parse","message":"syntax error at 1:8: expected the summation variable \'k\' or a rational"}'),
+    # Argument errors of the named calls: a missing, extra or mistyped argument.
+    ('patch(N)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:9: expected at least one index:value override"}'),
+    ('patch(N, 1)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:11: expected \':\'"}'),
+    ('delay(N)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:8: expected \',\'"}'),
+    ('delay(N, 1.5)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:10: expected a delay length >= 0"}'),
+    ('geom(N)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:6: expected a number"}'),
+    ('series(k) from', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:15: expected a start index >= 1"}'),
+    ('cmp(N)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:6: expected \',\'"}'),
+    ('cmp(N, N, N)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:9: expected \')\'"}'),
+    ('classify(N, N)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:11: expected \')\'"}'),
+    ('st()', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:4: expected an expression"}'),
+    ('deriv(1, 2)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:7: expected a function name or a lambda"}'),
+    ('cont(sin)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:9: expected \',\'"}'),
+    ('let x = cmp(N, N)', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:9: expected a quantity expression"}'),
+    ('let delay = 1', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:1: expected a non-reserved binding name"}'),
 ]
+
+# The text-mode line (format_text) of each statement above, from the same run.
+TEXT = {
+    'let a = 2*N - 1/2': 'a = 2*n^1*1^n - 1/2*n^0*1^n',
+    'a + 3': '2*n^1*1^n + 5/2*n^0*1^n',
+    '-a * N^2': '-2*n^3*1^n + 1/2*n^2*1^n',
+    '1 - -n': '1*n^1*1^n + 1*n^0*1^n',
+    '(N+1)^2 - N^2': '2*n^1*1^n + 1*n^0*1^n',
+    '2^n - 3*(1/2)^n': '1*n^0*2^n - 3*n^0*1/2^n',
+    '(-2/3)^N * n^-2': '1*n^-2*(-2/3)^n',
+    '(1/2+1/2)^n': '1*n^0*1^n',
+    '(2^70)^n': 'error in parse: syntax error at 1:7: expected a nonzero rational base for an exponential',
+    '(0.5)^N': '1*n^0*1/2^n',
+    'N^0 + 0^0': '2*n^0*1^n',
+    'delay(N^2 + 2^n, 3)': 'patch(1/8*n^0*2^n + 1*n^2*1^n - 6*n^1*1^n + 9*n^0*1^n, 1:0, 2:0, 3:0)',
+    'delay(a, 0)': '2*n^1*1^n - 1/2*n^0*1^n',
+    'patch(N, 1:99, 7:0)': 'patch(1*n^1*1^n, 1:99, 7:0)',
+    'patch(N^-1, 2:-1/2, 3:0.25)': 'patch(1*n^-1*1^n, 2:-1/2, 3:1/4)',
+    'series(k^2 - 2*k + (1/2)^k) from 2': '1/3*n^3*1^n - 1/2*n^2*1^n - 5/6*n^1*1^n + 3/2*n^0*1^n - 1*n^0*1/2^n',
+    'series(-k*(2/3)^k)': '-6*n^0*1^n + 2*n^1*2/3^n + 6*n^0*2/3^n',
+    'series((2*k)^-1)': 'error in partial_sums: NegativePowerTerm',
+    'series(1) from 0': 'error in parse: syntax error at 1:16: expected a start index >= 1',
+    'geom(3/4)': '4*n^0*1^n - 4*n^0*3/4^n',
+    'geom(1)': '1*n^1*1^n',
+    'let b = series(k) * 2 - geom(1/2)': 'b = 1*n^2*1^n + 1*n^1*1^n - 2*n^0*1^n + 2*n^0*1/2^n',
+    'b': '1*n^2*1^n + 1*n^1*1^n - 2*n^0*1^n + 2*n^0*1/2^n',
+    'cmp(series(k), N^2)': 'less',
+    'cmp(a, b)': 'less',
+    'cmp((-1)^n, 0)': 'incomparable',
+    'classify(geom(1/2))': 'finite 2',
+    'classify(N^-1)': 'infinitesimal',
+    'classify((-1)^n * N)': 'oscillating',
+    'classify(-N)': 'inf-',
+    'st(geom(1/2) + 1/3)': '7/3',
+    'st(N)': 'error in standard_part: NotFinite',
+    'infgreater(N^2, 5*N)': 'yes',
+    'infgreater(N, N)': 'no',
+    'close(N^-1, 0)': 'yes',
+    'close(N, N+1)': 'no',
+    'deriv(x -> x^3 - 2*x + -x^2, 1/2)': 'estimate -44559624938608499/19804719024720000 (~-2.24995, spread 2438972599/9902240100000000)',
+    'deriv(t -> -(t - 1)^2 * t^-1, 2)': 'estimate -1194266861/1592329212 (~-0.750013, spread 49/796159806)',
+    'deriv(sin, 0)': 'estimate 36893488085627550335/36893488147419103232 (~1, spread 1214110853/73786976294838206464)',
+    'deriv(foo, 1)': 'error in execute: SeqRingError',
+    'cont(x -> -(x - 1)^2 * x^-1, 2)': 'holds',
+    'cont(x -> x^0 - 0.5*x, -1)': 'holds',
+    'cont(step, 0)': 'fails (witness index 9951)',
+    'assert cmp(N, N) == equal': 'assert passed: equal',
+    'assert classify(N) == inf+': 'assert passed: inf+',
+    'assert st(geom(1/2)) == 2': 'assert passed: 2',
+    'assert st(1/2 - 1) == -1/2': 'assert passed: -1/2',
+    'assert classify(N) == finite': 'assert failed: expected finite, got inf+',
+    '(N)^n': 'error in parse: syntax error at 1:4: expected a nonzero rational base for an exponential',
+    '(0^-1)^n': 'error in parse: syntax error at 1:7: expected a nonzero rational base for an exponential',
+    '(N+1)^-1': 'error in pow: NonInvertible',
+    'series((k+1)^-1)': 'error in pow: NonInvertible',
+    'N^65': 'error in pow: SeqRingError',
+    'N^-65': 'error in pow: SeqRingError',
+    'series(k^65)': 'error in pow: SeqRingError',
+    'delay(N, 100001)': 'error in delay: SeqRingError',
+    'series(1) from 100000': ('patch(1*n^1*1^n - 99999*n^0*1^n, ' + ', '.join(f'{i}:0' for i in range(1, 99999)) + ')'),
+    'series(1) from 100001': 'error in partial_sums: SeqRingError',
+    'delay(N^-1, 2)': 'error in delay: NegativePowerDelay',
+    'patch(N, 0:1)': 'error in parse: syntax error at 1:10: expected a patch index >= 1',
+    'mystery + 1': 'error in execute: SeqRingError',
+    'cmp(N + )': 'error in parse: syntax error at 1:9: expected an expression',
+    'let N = 1': 'error in parse: syntax error at 1:1: expected a non-reserved binding name',
+    'deriv(x -> y, 1)': "error in parse: syntax error at 1:12: expected the function variable 'x' or a rational",
+    'series(N)': "error in parse: syntax error at 1:8: expected the summation variable 'k' or a rational",
+    'patch(N)': 'error in parse: syntax error at 1:9: expected at least one index:value override',
+    'patch(N, 1)': "error in parse: syntax error at 1:11: expected ':'",
+    'delay(N)': "error in parse: syntax error at 1:8: expected ','",
+    'delay(N, 1.5)': 'error in parse: syntax error at 1:10: expected a delay length >= 0',
+    'geom(N)': 'error in parse: syntax error at 1:6: expected a number',
+    'series(k) from': 'error in parse: syntax error at 1:15: expected a start index >= 1',
+    'cmp(N)': "error in parse: syntax error at 1:6: expected ','",
+    'cmp(N, N, N)': "error in parse: syntax error at 1:9: expected ')'",
+    'classify(N, N)': "error in parse: syntax error at 1:11: expected ')'",
+    'st()': 'error in parse: syntax error at 1:4: expected an expression',
+    'deriv(1, 2)': 'error in parse: syntax error at 1:7: expected a function name or a lambda',
+    'cont(sin)': "error in parse: syntax error at 1:9: expected ','",
+    'let x = cmp(N, N)': 'error in parse: syntax error at 1:9: expected a quantity expression',
+    'let delay = 1': 'error in parse: syntax error at 1:1: expected a non-reserved binding name',
+}
 
 AST_TYPES = {
     cli.Num, cli.Var, cli.Ref, cli.BinOp, cli.Neg, cli.Pow, cli.ExpBase, cli.Delay,
@@ -174,10 +289,12 @@ def _node_types(value):
 
 
 def test_golden_corpus_json():
+    assert len(TEXT) == len(GOLDEN) and set(TEXT) == {text for text, _, _ in GOLDEN}
     config, env = Config(), {}
     for text, code, expected in GOLDEN:
         result, got = run_statement(text, env, config)
         assert (got, format_json(result, config)) == (code, expected), text
+        assert format_text(result) == TEXT[text], text
 
 
 def test_golden_corpus_covers_the_language():
