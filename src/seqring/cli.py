@@ -16,7 +16,7 @@ Quantity expressions
   qexpr := rat | N | n | IDENT | qexpr (+|-|*) qexpr | -qexpr | qexpr ^ [-]INT
          | base ^ n | base ^ N               exponential sequence b**n
          | delay(qexpr, INT)                 prefix with INT zeros, INT <= 100000
-         | patch(qexpr, INT:rat, ...)        finite index overrides, INT >= 1
+         | patch(qexpr, INT:rat, ...)        finite index overrides, 1 <= INT <= 3000000
          | series(kexpr) [from INT]          closed-form partial sums, 1 <= INT <= 100000
          | geom(rat)                         partial sums (1 - e^n)/(1 - e)
          | (qexpr)
@@ -26,11 +26,15 @@ Quantity expressions
   fn    := sin|cos|exp|log|sqrt|abs|step | IDENT -> a polynomial in IDENT
            with rational coefficients and integer (also negative) powers
   rat   := [-]INT | [-]INT/INT | [-]decimal literal (converted exactly)
-  INT   := unsigned integer literal
+  INT   := unsigned integer literal of decimal digits (str.isdecimal, so not ² or ①)
 
 All expression contexts share one evaluator, so + - * unary - and ^INT
 (|INT| <= 64) mean the same everywhere; a negative power needs an inverse (a
 single-term closed form, or a nonzero rational).
+
+The named calls and their argument kinds are listed once, in SIGNATURES. A
+length, start or patch index above its cap is an evaluation error (exit 2),
+raised before any argument is evaluated.
 
 Rationals are exact everywhere; decimal literals like 0.5 become 1/2.
 Exit codes: 0 success, 1 parse error, 2 evaluation error, 3 failed assertion
@@ -40,6 +44,7 @@ or an unknown verdict on an asserted claim.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import operator
 import sys
@@ -71,9 +76,34 @@ from .series import Series, geometric_series_sums, partial_sums
 
 MAX_POW = 64
 MAX_DELAY = 100_000
+MAX_PATCH_INDEX = 3_000_000
 
-COMMANDS = ("cmp", "classify", "st", "infgreater", "close", "deriv", "cont")
-CONSTRUCTS = ("delay", "patch", "series", "geom")
+# Argument kinds of the named calls. START is the optional ``from INT`` that
+# follows the closing parenthesis; OVERRIDES is a run of ``, INT:rat``.
+QUANTITY, TERM, FUNCTION, RATIONAL = "quantity", "term", "function", "rational"
+LENGTH, OVERRIDES, START = "length", "overrides", "start"
+
+# Every named call: a command is a statement, a construct a quantity expression.
+SIGNATURES = {
+    "cmp": ("command", (QUANTITY, QUANTITY)),
+    "classify": ("command", (QUANTITY,)),
+    "st": ("command", (QUANTITY,)),
+    "infgreater": ("command", (QUANTITY, QUANTITY)),
+    "close": ("command", (QUANTITY, QUANTITY)),
+    "deriv": ("command", (FUNCTION, RATIONAL)),
+    "cont": ("command", (FUNCTION, RATIONAL)),
+    "delay": ("construct", (QUANTITY, LENGTH)),
+    "patch": ("construct", (QUANTITY, OVERRIDES)),
+    "series": ("construct", (TERM, START)),
+    "geom": ("construct", (RATIONAL,)),
+}
+COMMANDS = tuple(name for name, (role, _) in SIGNATURES.items() if role == "command")
+CONSTRUCTS = tuple(name for name, (role, _) in SIGNATURES.items() if role == "construct")
+RESERVED = tuple(SIGNATURES) + ("let", "assert", "N", "n", "from")
+
+# Caps on integer arguments: (largest allowed value, operation of the error).
+_CAPS = {LENGTH: (MAX_DELAY, "delay"), START: (MAX_DELAY, "partial_sums"),
+         OVERRIDES: (MAX_PATCH_INDEX, "patch")}
 
 
 # ------------------------------------------------------------------
@@ -112,22 +142,19 @@ def _tokenize(src: str, line: int) -> list[Token]:
             i += 1
             continue
         col = i + 1
-        if src.startswith("->", i) or src.startswith("==", i):
-            text = src[i : i + 2]
+        text = src[i : i + 2] if src[i : i + 2] in _PUNCT else ch  # "->" and "==" first
+        if text in _PUNCT:
             out.append(Token(_PUNCT[text], text, col))
-            i += 2
+            i += len(text)
             continue
-        if ch in _PUNCT:
-            out.append(Token(_PUNCT[ch], ch, col))
-            i += 1
-            continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects digits like '²' and '①'.
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
-            if j < len(src) and src[j] == "." and j + 1 < len(src) and src[j + 1].isdigit():
+            if j < len(src) and src[j] == "." and j + 1 < len(src) and src[j + 1].isdecimal():
                 j += 1
-                while j < len(src) and src[j].isdigit():
+                while j < len(src) and src[j].isdecimal():
                     j += 1
             out.append(Token("NUM", src[i:j], col))
             i = j
@@ -187,29 +214,6 @@ class ExpBase:
 
 
 @dataclass(frozen=True)
-class Delay:
-    operand: object
-    steps: int
-
-
-@dataclass(frozen=True)
-class Patch:
-    operand: object
-    overrides: tuple
-
-
-@dataclass(frozen=True)
-class SeriesNode:
-    term: object
-    start: int
-
-
-@dataclass(frozen=True)
-class Geom:
-    ratio: Fraction
-
-
-@dataclass(frozen=True)
 class Lambda:
     var: str
     body: object
@@ -221,9 +225,9 @@ class FnRef:
 
 
 @dataclass(frozen=True)
-class Command:
-    name: str
-    args: tuple
+class Call:
+    name: str  # a key of SIGNATURES
+    args: tuple  # one per argument kind: an AST, a rational, an int or (index, rational) pairs
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,7 @@ class Let:
 
 @dataclass(frozen=True)
 class Assertion:
-    inner: Command
+    inner: Call
     expected: str
 
 
@@ -280,41 +284,55 @@ class _Parser:
         if tok.kind == "IDENT" and tok.text == "let":
             self.advance()
             name = self.expect("IDENT", "a binding name").text
-            if name in COMMANDS + CONSTRUCTS + ("let", "assert", "N", "n", "from"):
+            if name in RESERVED:
                 raise ExprSyntaxError(self.line, tok.col, "a non-reserved binding name")
             self.expect("EQ", "'='")
             node = Let(name, self.qexpr())
         elif tok.kind == "IDENT" and tok.text == "assert":
             self.advance()
-            inner = self.command()
+            if self.peek().text not in COMMANDS:
+                self.fail(f"a command ({', '.join(COMMANDS)})")
+            inner = self.call()
             self.expect("EQEQ", "'=='")
             node = Assertion(inner, self.expected_token())
         elif tok.kind == "IDENT" and tok.text in COMMANDS and self.peek(1).kind == "LPAREN":
-            node = self.command()
+            node = self.call()
         else:
             node = Bare(self.qexpr())
         if self.peek().kind != "EOF":
             self.fail("end of statement")
         return node
 
-    def command(self) -> Command:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text not in COMMANDS:
-            self.fail("a command (cmp, classify, st, infgreater, close, deriv, cont)")
+    def call(self) -> Call:
+        """NAME(arg, ...) for a name in SIGNATURES, read by argument kind."""
         name = self.advance().text
+        kinds = SIGNATURES[name][1]
         self.expect("LPAREN", "'('")
-        if name in ("cmp", "infgreater", "close"):
-            a = self.qexpr()
-            self.expect("COMMA", "','")
-            args = (a, self.qexpr())
-        elif name in ("classify", "st"):
-            args = (self.qexpr(),)
-        else:  # deriv, cont
-            fn = self.fn()
-            self.expect("COMMA", "','")
-            args = (fn, self.rational())
+        args = [self.argument(kind, i == 0) for i, kind in enumerate(kinds) if kind != START]
         self.expect("RPAREN", "')'")
-        return Command(name, args)
+        if OVERRIDES in kinds and not args[-1]:
+            self.fail("at least one index:value override")
+        if START in kinds:  # an omitted ``from INT`` starts at 1
+            has_from = self.peek().text == "from"  # only an IDENT token has this text
+            if has_from:
+                self.advance()
+            args.append(self.integer("a start index >= 1", 1) if has_from else 1)
+        return Call(name, tuple(args))
+
+    def argument(self, kind: str, first: bool):
+        if kind == OVERRIDES:  # each entry brings its own comma
+            entries = []
+            while self.peek().kind == "COMMA":
+                self.advance()
+                idx = self.integer("a patch index >= 1", 1)
+                self.expect("COLON", "':'")
+                entries.append((idx, self.rational()))
+            return tuple(entries)
+        if not first:
+            self.expect("COMMA", "','")
+        read = {QUANTITY: self.qexpr, TERM: lambda: self.sum("series", "k"), FUNCTION: self.fn,
+                RATIONAL: self.rational, LENGTH: lambda: self.integer("a delay length >= 0", 0)}
+        return read[kind]()
 
     def expected_token(self) -> str:
         tok = self.peek()
@@ -388,44 +406,8 @@ class _Parser:
         if ctx != "quantity":
             role = "summation" if ctx == "series" else "function"
             self.fail(f"the {role} variable '{var}' or a rational")
-        if tok.text == "delay":
-            self.advance()
-            self.expect("LPAREN", "'('")
-            operand = self.qexpr()
-            self.expect("COMMA", "','")
-            steps = self.integer("a delay length >= 0", 0)
-            self.expect("RPAREN", "')'")
-            return Delay(operand, steps)
-        if tok.text == "patch":
-            self.advance()
-            self.expect("LPAREN", "'('")
-            operand = self.qexpr()
-            entries = []
-            while self.peek().kind == "COMMA":
-                self.advance()
-                idx = self.integer("a patch index >= 1", 1)
-                self.expect("COLON", "':'")
-                entries.append((idx, self.rational()))
-            self.expect("RPAREN", "')'")
-            if not entries:
-                self.fail("at least one index:value override")
-            return Patch(operand, tuple(entries))
-        if tok.text == "series":
-            self.advance()
-            self.expect("LPAREN", "'('")
-            term = self.sum("series", "k")
-            self.expect("RPAREN", "')'")
-            start = 1
-            if self.peek().kind == "IDENT" and self.peek().text == "from":
-                self.advance()
-                start = self.integer("a start index >= 1", 1)
-            return SeriesNode(term, start)
-        if tok.text == "geom":
-            self.advance()
-            self.expect("LPAREN", "'('")
-            ratio = self.rational()
-            self.expect("RPAREN", "')'")
-            return Geom(ratio)
+        if tok.text in CONSTRUCTS:
+            return self.call()
         if tok.text in COMMANDS + ("let", "assert", "from"):
             self.fail("a quantity expression")
         self.advance()
@@ -531,8 +513,9 @@ class Config:
 class Result:
     kind: str
     fields: dict
-    rendering: str
-    token: str
+    rendering: str = ""
+    token: str = ""
+    text: str = ""  # the text-mode line; an error's comes from format_text
 
 
 def _eval_quantity(node, env: dict) -> Quantity:
@@ -549,33 +532,49 @@ def _eval_quantity(node, env: dict) -> Quantity:
             if node.name not in env:
                 raise SeqRingError(f"unknown name '{node.name}'", operation="execute")
             return env[node.name]
-        if isinstance(node, Delay):
-            if node.steps > MAX_DELAY:
-                raise SeqRingError("delay length above 100000", operation="delay")
-            return delay(_eval_quantity(node.operand, env), node.steps)
-        if isinstance(node, Patch):
-            return patch(_eval_quantity(node.operand, env), dict(node.overrides))
-        if isinstance(node, SeriesNode):
-            if node.start > MAX_DELAY:
-                raise SeqRingError("series start above 100000", operation="partial_sums")
-            return partial_sums(Series(_eval_quantity(node.term, env).body, node.start))
-        return geometric_series_sums(node.ratio)  # Geom
+        return _construct(node.name, *_arguments(node, env))  # a Call
 
     return _evaluate(node, leaf, pow_int)
 
 
-def _fn_object(node) -> tuple[RealFunction, str]:
+def _construct(name: str, *args) -> Quantity:
+    if name == "delay":
+        return delay(*args)
+    if name == "patch":
+        return patch(args[0], dict(args[1]))
+    if name == "series":
+        return partial_sums(Series(args[0].body, args[1]))
+    return geometric_series_sums(*args)  # geom
+
+
+def _arguments(node: Call, env: dict) -> list:
+    """Check the caps on a call's integer arguments, then evaluate every argument by kind."""
+    kinds = SIGNATURES[node.name][1]
+    for kind, arg in zip(kinds, node.args):
+        if kind in _CAPS:
+            cap, operation = _CAPS[kind]
+            if (max(i for i, _ in arg) if kind == OVERRIDES else arg) > cap:
+                raise SeqRingError(f"{node.name} {kind} above {cap}", operation=operation)
+    return [_argument(kind, arg, env) for kind, arg in zip(kinds, node.args)]
+
+
+def _argument(kind: str, arg, env: dict):
+    if kind in (QUANTITY, TERM):  # a series term is a quantity too, in k
+        return _eval_quantity(arg, env)
+    return _fn_object(arg) if kind == FUNCTION else arg  # else a number or the overrides
+
+
+def _fn_object(node) -> RealFunction:
     if isinstance(node, FnRef):
         if node.name not in BUILTINS:
             raise SeqRingError(f"unknown function '{node.name}'", operation="execute")
-        return BUILTINS[node.name], node.name
+        return BUILTINS[node.name]
 
     def evaluate(x: Fraction) -> Fraction:
         leaf = lambda term: term.value if isinstance(term, Num) else x  # Num or Var
         return _evaluate(node.body, leaf, operator.pow)
 
-    text = f"{node.var} -> {_unparse(node.body)}"
-    return RealFunction(text, evaluate), text
+    return RealFunction(f"{node.var} -> {_unparse(node.body)}", evaluate)
 
 
 def _unparse(node) -> str:
@@ -594,76 +593,80 @@ def _json_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _estimate(est: StEstimate) -> tuple[dict, str]:
+    """JSON fields and text line of an estimate with its achieved spread."""
+    value, spread = est.value, est.achieved_spread
+    try:
+        approx = f"{float(value):.6g}"
+    except OverflowError:  # past the float range; Decimal has no such bound
+        context = decimal.Context(prec=6, Emax=decimal.MAX_EMAX)
+        approx = f"{context.divide(value.numerator, value.denominator).normalize(context):.6g}"
+    fields = {"value": _json_rat(value), "spread": _json_rat(spread)}
+    return fields, f"estimate {value} (~{approx}, spread {spread})"
+
+
 def execute(node, env: dict, config: Config) -> Result:
     """Dispatch a parsed statement to the library; returns a renderable Result."""
     if isinstance(node, Let):
         q = _eval_quantity(node.expr, env)
         env[node.name] = q
-        return Result("let", {"name": node.name}, q.render(), node.name)
+        rendering = q.render()
+        text = f"{node.name} = {rendering}"
+        return Result("let", {"name": node.name}, rendering, node.name, text)
     if isinstance(node, Bare):
-        q = _eval_quantity(node.expr, env)
-        return Result("quantity", {}, q.render(), q.render())
+        rendering = _eval_quantity(node.expr, env).render()
+        return Result("quantity", {}, rendering, rendering, rendering)
     if isinstance(node, Assertion):
         inner = execute(node.inner, env, config)
         ok = inner.token == node.expected and inner.token != "unknown"
-        fields = {
-            "verdict": "pass" if ok else "fail",
-            "expected": node.expected,
-            "actual": inner.token,
-        }
-        return Result("assert", fields, inner.rendering, "pass" if ok else "fail")
-    if not isinstance(node, Command):
+        verdict = "pass" if ok else "fail"
+        fields = {"verdict": verdict, "expected": node.expected, "actual": inner.token}
+        text = (f"assert passed: {inner.token}" if ok
+                else f"assert failed: expected {node.expected}, got {inner.token}")
+        return Result("assert", fields, inner.rendering, verdict, text)
+    if not isinstance(node, Call) or node.name not in COMMANDS:
         raise SeqRingError("unsupported statement", operation="execute")
 
-    name, args = node.name, node.args
+    # fields and text default to {"verdict": token} and the token itself.
+    name, args, fields, text = node.name, _arguments(node, env), None, None
     if name == "cmp":
-        q1, q2 = (_eval_quantity(a, env) for a in args)
-        verdict = compare(q1, q2).value
-        rendering = f"cmp({q1.render()}, {q2.render()})"
-        return Result("cmp", {"verdict": verdict}, rendering, verdict)
-    if name == "classify":
-        q = _eval_quantity(args[0], env)
-        c = classify(q)
-        fields = {"value": c.kind}
+        token = compare(*args).value
+    elif name == "infgreater":
+        token = "yes" if infinitely_greater(*args) else "no"
+    elif name == "close":
+        answer = infinitely_close(*args, config.horizon)
+        token = answer.status if isinstance(answer, Verdict) else ("yes" if answer else "no")
+    elif name == "cont":
+        probe = continuity_probe(
+            *args, horizon=config.horizon, tol=config.tol, window=config.window
+        )
+        token = probe.status
+        if probe.witness is not None:
+            fields = {"verdict": token, "witness": probe.witness}
+            text = f"{token} (witness index {probe.witness})"
+    elif name == "classify":
+        c = classify(args[0])
+        fields, token = {"value": c.kind}, c.kind
         if c.standard_part is not None:
             fields["standard_part"] = _json_rat(c.standard_part)
-        return Result("classify", fields, q.render(), c.kind)
-    if name == "st":
-        q = _eval_quantity(args[0], env)
-        value = standard_part(q, config.horizon, config.window)
+            text = f"{c.kind} {c.standard_part}"
+    elif name == "st":
+        value = standard_part(args[0], config.horizon, config.window)
         if isinstance(value, StEstimate):
-            fields = {
-                "value": _json_rat(value.value),
-                "spread": _json_rat(value.achieved_spread),
-            }
-            return Result("st", fields, q.render(), str(value.value))
-        return Result("st", {"value": _json_rat(value)}, q.render(), str(value))
-    if name == "infgreater":
-        q1, q2 = (_eval_quantity(a, env) for a in args)
-        verdict = "yes" if infinitely_greater(q1, q2) else "no"
-        rendering = f"infgreater({q1.render()}, {q2.render()})"
-        return Result("infgreater", {"verdict": verdict}, rendering, verdict)
-    if name == "close":
-        q1, q2 = (_eval_quantity(a, env) for a in args)
-        answer = infinitely_close(q1, q2, config.horizon)
-        verdict = answer.status if isinstance(answer, Verdict) else ("yes" if answer else "no")
-        rendering = f"close({q1.render()}, {q2.render()})"
-        return Result("close", {"verdict": verdict}, rendering, verdict)
-    if name == "deriv":
-        fn, text = _fn_object(args[0])
-        est = derivative(fn, args[1], horizon=config.horizon, window=config.window)
-        fields = {"value": _json_rat(est.value), "spread": _json_rat(est.achieved_spread)}
-        return Result("deriv", fields, f"deriv({text}, {args[1]})", str(est.value))
-    if name == "cont":
-        fn, text = _fn_object(args[0])
-        verdict = continuity_probe(
-            fn, args[1], horizon=config.horizon, tol=config.tol, window=config.window
-        )
-        fields = {"verdict": verdict.status}
-        if verdict.witness is not None:
-            fields["witness"] = verdict.witness
-        return Result("cont", fields, f"cont({text}, {args[1]})", verdict.status)
-    raise SeqRingError(f"unknown command '{name}'", operation="execute")
+            fields, text = _estimate(value)
+            value = value.value
+        else:
+            fields = {"value": _json_rat(value)}
+        token = str(value)
+    else:  # deriv
+        est = derivative(*args, horizon=config.horizon, window=config.window)
+        fields, text = _estimate(est)
+        token = str(est.value)
+    # A one-quantity command renders its quantity, the others render the call.
+    shown = [a.render() if k == QUANTITY else a.name if k == FUNCTION else str(a)
+             for k, a in zip(SIGNATURES[name][1], args)]
+    rendering = shown[0] if len(shown) == 1 else f"{name}({', '.join(shown)})"
+    return Result(name, fields or {"verdict": token}, rendering, token, text or token)
 
 
 # ------------------------------------------------------------------
@@ -672,10 +675,8 @@ def execute(node, env: dict, config: Config) -> Result:
 
 def format_json(result: Result, config: Config) -> str:
     """Single-line JSON with fixed key order; rationals serialized as "p/q"."""
-    if result.kind == "error":
-        payload = {"kind": "error", **result.fields}
-    else:
-        payload = {"kind": result.kind, **result.fields}
+    payload = {"kind": result.kind, **result.fields}
+    if result.kind != "error":
         payload["rendering"] = result.rendering
         payload["config"] = {"horizon": config.horizon, "tol": _json_rat(config.tol)}
     return json.dumps(payload, separators=(",", ":"))
@@ -684,51 +685,19 @@ def format_json(result: Result, config: Config) -> str:
 def format_text(result: Result) -> str:
     if result.kind == "error":
         return f"error in {result.fields['operation']}: {result.fields['message']}"
-    if result.kind in ("cmp", "infgreater", "close"):
-        return result.fields["verdict"]
-    if result.kind == "cont":
-        verdict = result.fields["verdict"]
-        if "witness" in result.fields:
-            return f"{verdict} (witness index {result.fields['witness']})"
-        return verdict
-    if result.kind == "classify":
-        if "standard_part" in result.fields:
-            return f"{result.fields['value']} {Fraction(result.fields['standard_part'])}"
-        return result.fields["value"]
-    if result.kind in ("st", "deriv"):
-        value = Fraction(result.fields["value"])
-        if "spread" in result.fields:
-            spread = Fraction(result.fields["spread"])
-            return f"estimate {value} (~{float(value):.6g}, spread {spread})"
-        return str(value)
-    if result.kind == "assert":
-        if result.fields["verdict"] == "pass":
-            return f"assert passed: {result.fields['actual']}"
-        return (
-            f"assert failed: expected {result.fields['expected']}, "
-            f"got {result.fields['actual']}"
-        )
-    if result.kind == "let":
-        return f"{result.fields['name']} = {result.rendering}"
-    return result.rendering
+    return result.text
 
 
 def run_statement(text: str, env: dict, config: Config, line: int = 1) -> tuple[Result, int]:
     """Parse and execute one statement; returns the result and its exit code."""
     try:
         node = parse(text, line)
-    except ExprSyntaxError as exc:
-        return Result("error", {"operation": "parse", "message": str(exc)}, "", ""), 1
-    try:
         result = execute(node, env, config)
     except ExprSyntaxError as exc:
-        return Result("error", {"operation": "parse", "message": str(exc)}, "", ""), 1
-    except SeqRingError as exc:
-        fields = {"operation": exc.operation, "message": type(exc).__name__}
-        return Result("error", fields, "", ""), 2
+        return Result("error", {"operation": "parse", "message": str(exc)}), 1
     except Exception as exc:  # fuzz robustness: nothing escapes as a crash
-        fields = {"operation": "execute", "message": type(exc).__name__}
-        return Result("error", fields, "", ""), 2
+        operation = exc.operation if isinstance(exc, SeqRingError) else "execute"
+        return Result("error", {"operation": operation, "message": type(exc).__name__}), 2
     if isinstance(node, Assertion) and result.token != "pass":
         return result, 3
     return result, 0
@@ -736,8 +705,7 @@ def run_statement(text: str, env: dict, config: Config, line: int = 1) -> tuple[
 
 def run_batch(lines, config: Config, write: Callable[[str], None] = None) -> int:
     """One statement per line; stops at the first failure and returns its code."""
-    if write is None:
-        write = lambda s: print(s)
+    write = write or print
     env: dict = {}
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()

@@ -6,16 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from seqring import ExprSyntaxError
+from seqring import ExprSyntaxError, Quantity
 from seqring.cli import (
     Bare,
-    Command,
+    Call,
     Config,
-    Geom,
     Let,
-    SeriesNode,
     execute,
     format_json,
+    format_text,
     parse,
     run_batch,
     run_statement,
@@ -32,14 +31,14 @@ def run_one(text, env=None, config=None):
 
 def test_parse_cmp_of_series():
     node = parse("cmp(series(k^2), series(k))")
-    assert isinstance(node, Command) and node.name == "cmp"
-    assert all(isinstance(a, SeriesNode) for a in node.args)
+    assert isinstance(node, Call) and node.name == "cmp"
+    assert all(isinstance(a, Call) and a.name == "series" for a in node.args)
 
 
 def test_parse_st_of_geom():
     node = parse("st(geom(1/2))")
     assert node.name == "st"
-    assert node.args[0] == Geom(F(1, 2))
+    assert node.args[0] == Call("geom", (F(1, 2),))
 
 
 def test_parse_error_position():
@@ -132,6 +131,27 @@ def test_exponent_and_delay_guards():
     for text in ["N^999", "2^1000000", "delay(N, 999999)"]:
         _, code = run_one(text)
         assert code == 2
+
+
+def test_bare_quantity_is_rendered_once(monkeypatch):
+    calls = []
+    render = Quantity.render
+
+    def counting(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(Quantity, "render", counting)
+    result, code = run_one("delay(N, 3)")
+    assert (code, len(calls)) == (0, 1)
+    assert result.rendering == result.token == result.text
+
+
+def test_estimate_past_the_float_range_has_a_text_line():
+    # 64 * 10^(12*63) overflows float(); the JSON value is exact either way.
+    result, code = run_one("deriv(x -> x^64, 1000000000000)")
+    assert code == 0 and 6 * 10**757 < F(result.fields["value"]) < 7 * 10**757
+    assert "(~6.4e+757, spread " in format_text(result)
 
 
 def test_patch_syntax_and_equality():

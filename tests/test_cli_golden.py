@@ -11,9 +11,11 @@ The lines ``series(1) from 0`` and ``patch(N, 0:1)`` were later changed from
 a library ``ValueError`` (exit 2) to a parse error at the index (exit 1).
 The lines ``series(1) from 100000`` and ``series(1) from 100001`` were added
 with the cap on series starts; the first is the output the code gave before
-the cap. The text lines and the argument-error lines at the end of the corpus
-were captured from the implementation that parsed each named call with its
-own code.
+the cap. The text lines and the argument-error lines near the end of the
+corpus were captured from the implementation that parsed each named call with
+its own code. The last five lines came with the cap on patch indices and with
+number tokens of decimal digits only; ``2²`` and ``①`` were reported before
+as a literal of too many digits at 1:1.
 """
 
 import dataclasses
@@ -186,6 +188,18 @@ GOLDEN = [
      '{"kind":"error","operation":"parse","message":"syntax error at 1:9: expected a quantity expression"}'),
     ('let delay = 1', 1,
      '{"kind":"error","operation":"parse","message":"syntax error at 1:1: expected a non-reserved binding name"}'),
+    # The cap on patch indices; the first line is the output the code gave before the cap.
+    ('patch(N, 3000000:1)', 0,
+     '{"kind":"quantity","rendering":"patch(1*n^1*1^n, 3000000:1)","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    ('patch(N, 3000001:1)', 2,
+     '{"kind":"error","operation":"patch","message":"SeqRingError"}'),
+    # Digits that int() rejects are no number tokens; an Arabic-Indic 3 is one.
+    ('2²', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:2: expected a valid token"}'),
+    ('①', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:1: expected a valid token"}'),
+    ('٣ + 1', 0,
+     '{"kind":"quantity","rendering":"4*n^0*1^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
 ]
 
 # The text-mode line (format_text) of each statement above, from the same run.
@@ -269,23 +283,27 @@ TEXT = {
     'cont(sin)': "error in parse: syntax error at 1:9: expected ','",
     'let x = cmp(N, N)': 'error in parse: syntax error at 1:9: expected a quantity expression',
     'let delay = 1': 'error in parse: syntax error at 1:1: expected a non-reserved binding name',
+    'patch(N, 3000000:1)': 'patch(1*n^1*1^n, 3000000:1)',
+    'patch(N, 3000001:1)': 'error in patch: SeqRingError',
+    '2²': 'error in parse: syntax error at 1:2: expected a valid token',
+    '①': 'error in parse: syntax error at 1:1: expected a valid token',
+    '٣ + 1': '4*n^0*1^n',
 }
 
 AST_TYPES = {
-    cli.Num, cli.Var, cli.Ref, cli.BinOp, cli.Neg, cli.Pow, cli.ExpBase, cli.Delay,
-    cli.Patch, cli.SeriesNode, cli.Geom, cli.Lambda, cli.FnRef, cli.Command, cli.Let,
-    cli.Assertion, cli.Bare,
+    cli.Num, cli.Var, cli.Ref, cli.BinOp, cli.Neg, cli.Pow, cli.ExpBase, cli.Lambda,
+    cli.FnRef, cli.Call, cli.Let, cli.Assertion, cli.Bare,
 }
 
 
-def _node_types(value):
+def _nodes(value):
     if isinstance(value, tuple):
         for item in value:
-            yield from _node_types(item)
+            yield from _nodes(item)
     elif dataclasses.is_dataclass(value):
-        yield type(value)
+        yield value
         for field in dataclasses.fields(value):
-            yield from _node_types(getattr(value, field.name))
+            yield from _nodes(getattr(value, field.name))
 
 
 def test_golden_corpus_json():
@@ -298,14 +316,13 @@ def test_golden_corpus_json():
 
 
 def test_golden_corpus_covers_the_language():
-    seen, commands = set(), set()
+    seen, calls = set(), set()
     for text, code, _ in GOLDEN:
         if code == 1:
             continue
-        node = parse(text)
-        seen.update(_node_types(node))
-        inner = node.inner if isinstance(node, cli.Assertion) else node
-        if isinstance(inner, cli.Command):
-            commands.add(inner.name)
+        for node in _nodes(parse(text)):
+            seen.add(type(node))
+            if isinstance(node, cli.Call):
+                calls.add(node.name)
     assert seen == AST_TYPES
-    assert commands == set(cli.COMMANDS)
+    assert calls == set(cli.SIGNATURES)
