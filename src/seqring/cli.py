@@ -27,6 +27,7 @@ Quantity expressions
            with rational coefficients and integer (also negative) powers
   rat   := [-]INT | [-]INT/INT | [-]decimal literal (converted exactly)
   INT   := unsigned integer literal of decimal digits (str.isdecimal, so not ² or ①)
+  IDENT := a letter or _, then letters, decimal digits and _ (so x1, not x² or N₂)
 
 All expression contexts share one evaluator, so + - * unary - and ^INT
 (|INT| <= 64) mean the same everywhere; a negative power needs an inverse (a
@@ -160,8 +161,9 @@ def _tokenize(src: str, line: int) -> list[Token]:
             i = j
             continue
         if ch.isalpha() or ch == "_":
+            # Not isalnum, which takes '²' and '₂': names take decimal digits only, like numbers.
             j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+            while j < len(src) and (src[j].isalpha() or src[j].isdecimal() or src[j] == "_"):
                 j += 1
             out.append(Token("IDENT", src[i:j], col))
             i = j

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import LazyInput, ZeroDivisor
-from .quantity import ExpPoly, Quantity, eval_at, sub
+from .quantity import ExpPoly, Quantity, as_node, eval_at, sub
 
 DEFAULT_HORIZON = 10_000
 
@@ -167,7 +167,15 @@ def compare_lazy(
     if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
     ok = _CLAIMS[claim]
-    return _scan(lambda n: ok(eval_at(q1, n), eval_at(q2, n)), horizon)
+    left, right = as_node(q1).pair, as_node(q2).pair
+
+    def holds_at(n: int) -> bool:
+        # a/b against c/d with b, d > 0: compare a*d with c*b.
+        a, b = left(n, 0)
+        c, d = right(n, 0)
+        return ok(a * d, c * b)
+
+    return _scan(holds_at, horizon)
 
 
 def _term_vanishes(base: Fraction, power: int) -> bool:
@@ -193,8 +201,13 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """
     if q.is_closed:
         return all(_term_vanishes(base, power) for (base, power), _ in q.body.items())
-    bound = Fraction(1, _probe_k(horizon))
-    return _scan(lambda n: abs(eval_at(q, n)) < bound, horizon)
+    k, pair = _probe_k(horizon), q.seq.pair
+
+    def small_at(n: int) -> bool:
+        a, b = pair(n, 0)  # |a/b| < 1/k with b > 0
+        return abs(a) * k < b
+
+    return _scan(small_at, horizon)
 
 
 def _growing(key: tuple[Fraction, int]) -> bool:
@@ -221,9 +234,15 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     direction = _sign(eval_at(q, horizon))
     if direction == 0:
         return Verdict.fails(horizon)
-    bound = _probe_k(horizon)
-    # With direction = +-1 and bound >= 1: same sign as direction and |q(n)| > bound.
-    return _scan(lambda n: direction * eval_at(q, n) > bound, horizon)
+    bound, pair = _probe_k(horizon), q.seq.pair
+
+    def great_at(n: int) -> bool:
+        # With direction = +-1 and bound >= 1: same sign as direction and
+        # |q(n)| > bound, that is direction * a > bound * b for q(n) = a/b, b > 0.
+        a, b = pair(n, 0)
+        return direction * a > bound * b
+
+    return _scan(great_at, horizon)
 
 
 def infinitely_greater(q1: Quantity, q2: Quantity) -> bool:

@@ -5,16 +5,24 @@ A quantity is a sequence of rationals indexed from n = 1, stored either as
 * a closed form: a canonical exponential polynomial (a finite sum of terms
   ``c * n**k * b**n`` with rational c, b and integer k) plus a finite set of
   index overrides (the "prefix patch"), or
-* a lazy sequence: an arbitrary pure evaluator from index to rational.
+* a lazy sequence: a node graph (a DAG) of pointwise operations whose leaves
+  are closed forms and opaque evaluators, pure functions from index to
+  rational.
 
 Closed forms are the decidable fragment: addition and multiplication stay
 inside it, and the ordering layer can compare them exactly.  Arithmetic that
-mixes a closed form with a lazy sequence lowers the result to lazy.
+mixes a closed form with a lazy sequence lowers the result to lazy: ``add``,
+``mul``, ``neg`` and ``delay`` build ``Add``, ``Mul``, ``Neg`` and ``Shift``
+nodes over ``Leaf`` (a closed form) and ``Opaque`` (an evaluator) nodes.  A node is evaluated at
+one index as an unnormalized integer pair (num, den) with den > 0, so no
+intermediate value pays a gcd; ``eval_at`` normalizes once, and the lazy
+scans in ``order`` compare pairs by sign.
 
 All values are immutable after construction; lazy evaluators must be pure.
 "Immutable" means value-immutable: ``ExpPoly.value_at`` memoizes its last
-index so that consecutive indices cost one multiplication per term, but the
-memo is invisible to equality, hashing and rendering.
+index, and each ``Leaf`` its last index per shift, so that consecutive
+indices cost one multiplication per term, but the memos are invisible to
+equality, hashing and rendering.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ class ExpPoly:
                 if c != 0:
                     cleaned[(base, int(power))] = c
         self._coeffs = cleaned
-        # value_at's last index: (n, value, S(n), (r_i**n per term), plan).
+        # value_at's last index: _advance's (n, S(n), I(n), (r_i**n per term), plan) + (value,).
         self._memo: tuple | None = None
 
     @classmethod
@@ -150,29 +158,53 @@ class ExpPoly:
         if not self._coeffs:
             return Fraction(0)
         memo = self._memo
+        if memo is not None and memo[0] == n:
+            return memo[5]
+        memo = self._advance(n, memo)
+        _, scale, inner, _, plan = memo
+        k_shift = plan[2]
+        value = scale * (Fraction(inner, n**k_shift) if k_shift else inner)
+        self._memo = memo + (value,)
+        return value
+
+    def pair_at(self, n: int, memo: tuple | None) -> tuple[int, int, tuple | None]:
+        """The value at n >= 1 as an unnormalized pair (num, den), den > 0, and its memo.
+
+        The pair is (S.numerator * I(n), S.denominator * n**K) in the terms of
+        ``value_at``, with no gcd.  ``memo`` is what the previous call returned
+        (or None); the caller keeps it, so that several readers of one body
+        at different indices each step from their own last index.
+        """
+        if not self._coeffs:
+            return 0, 1, None
+        if memo is None or memo[0] != n:
+            memo = self._advance(n, memo)
+        _, scale, inner, _, plan = memo
+        k_shift = plan[2]
+        den = scale.denominator * n**k_shift if k_shift else scale.denominator
+        return scale.numerator * inner, den, memo
+
+    def _advance(self, n: int, memo: tuple | None) -> tuple:
+        # (n, S(n), I(n), (r_i**n per term), plan), stepped from memo when it holds n - 1.
         if memo is None:
             plan, stepping = self._plan(), False
-        elif memo[0] == n:
-            return memo[1]
         else:
             plan, stepping = memo[4], memo[0] + 1 == n
-        scale0, step, k_shift, terms = plan
+        scale0, step, _, terms = plan
         if stepping:
             powers = tuple([s * r for s, (_, r, _) in zip(memo[3], terms)])
         else:
             powers = tuple([r**n for _, r, _ in terms])
-        if step == 1:
+        if step is None:
             scale = scale0
         elif stepping:
-            scale = memo[2] * step
+            scale = memo[1] * step
         else:
             scale = scale0 * step**n
         inner = 0
         for s, (a, _, k) in zip(powers, terms):
             inner += a * s * n**k if k else a * s
-        value = scale * (Fraction(inner, n**k_shift) if k_shift else inner)
-        self._memo = (n, value, scale, powers, plan)
-        return value
+        return n, scale, inner, powers, plan
 
     def zeros(self, hi: int) -> set[int]:
         """The indices 1..hi where the value is 0.
@@ -193,8 +225,8 @@ class ExpPoly:
             columns.append(map(operator.mul, column, map(pow, ns, repeat(k))) if k else column)
         return set(compress(ns, map(operator.not_, map(sum, zip(*columns)))))
 
-    def _plan(self) -> tuple[Fraction, Fraction, int, tuple[tuple[int, int, int], ...]]:
-        # (g/D, G/Q, K, ((a_i, r_i, k_i + K) per term)): see value_at.
+    def _plan(self) -> tuple[Fraction, Fraction | None, int, tuple[tuple[int, int, int], ...]]:
+        # (g/D, G/Q or None when it is 1, K, ((a_i, r_i, k_i + K) per term)): see value_at.
         coeffs, keys = self._coeffs.values(), self._coeffs.keys()
         d = lcm(*(c.denominator for c in coeffs))
         q = lcm(*(b.denominator for b, _ in keys))
@@ -205,7 +237,7 @@ class ExpPoly:
         terms = tuple(
             (a // g, r // big_g, k + k_shift) for a, r, (_, k) in zip(nums, ratios, keys)
         )
-        return Fraction(g, d), Fraction(big_g, q), k_shift, terms
+        return Fraction(g, d), Fraction(big_g, q) if big_g != q else None, k_shift, terms
 
     def scale(self, r) -> "ExpPoly":
         r = _rat(r)
@@ -271,12 +303,134 @@ def canonicalize(terms: Iterable[Term]) -> ExpPoly:
     return ExpPoly(out)
 
 
-@dataclass(frozen=True)
 class LazySeq:
-    """A black-box sequence: a pure, total evaluator on indices n >= 1."""
+    """A lazy sequence: a node of an expression DAG, pure and total on indices n >= 1.
 
-    evaluator: Callable[[int], Fraction]
-    description: str = "lazy"
+    ``pair(n, shift)`` is the evaluator: the value at n as an integer pair
+    (num, den) with den > 0, not reduced.  ``shift`` is the sum of the delays
+    above the node on the path walked; it keys the memos of ``Leaf``, so a
+    leaf read at n and at n - m in one loop steps at both.  ``description``
+    renders the node.
+    """
+
+    __slots__ = ()
+
+    def pair(self, n: int, shift: int) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def value(self, n: int) -> Fraction:
+        num, den = self.pair(n, 0)
+        return Fraction(num, den)
+
+
+class Leaf(LazySeq):
+    """A closed form, patch included, as an operand of lazy arithmetic."""
+
+    __slots__ = ("body", "patch", "_memos")
+
+    def __init__(self, q: "Quantity"):
+        self.body, self.patch = q.body, q.patch
+        self._memos: dict[int, tuple | None] = {}  # shift -> ExpPoly.pair_at memo
+
+    def pair(self, n: int, shift: int) -> tuple[int, int]:
+        if n in self.patch:
+            v = self.patch[n]
+            return v.numerator, v.denominator
+        memos = self._memos
+        num, den, memos[shift] = self.body.pair_at(n, memos.get(shift))
+        return num, den
+
+    @property
+    def description(self) -> str:
+        return self.body.render()
+
+
+class Opaque(LazySeq):
+    """A user evaluator from index to rational, with its description."""
+
+    __slots__ = ("fn", "description")
+
+    def __init__(self, fn: Callable[[int], Fraction], description: str):
+        self.fn = fn
+        self.description = description
+
+    def pair(self, n: int, shift: int) -> tuple[int, int]:
+        v = _rat(self.fn(n))
+        return v.numerator, v.denominator
+
+    def value(self, n: int) -> Fraction:
+        # The evaluator's Fraction is reduced already; Fraction(num, den) would
+        # pay its gcd again, on 10^4-digit operands for decimal expansions.
+        return _rat(self.fn(n))
+
+
+class _Pointwise(LazySeq):
+    __slots__ = ("left", "right")
+    symbol = ""
+
+    def __init__(self, left: LazySeq, right: LazySeq):
+        self.left = left
+        self.right = right
+
+    @property
+    def description(self) -> str:
+        return f"({self.left.description} {self.symbol} {self.right.description})"
+
+
+class Add(_Pointwise):
+    __slots__ = ()
+    symbol = "+"
+
+    def pair(self, n: int, shift: int) -> tuple[int, int]:
+        a, b = self.left.pair(n, shift)
+        c, d = self.right.pair(n, shift)
+        if b == d:  # operands over one body, or both integers
+            return a + c, b
+        return a * d + c * b, b * d
+
+
+class Mul(_Pointwise):
+    __slots__ = ()
+    symbol = "*"
+
+    def pair(self, n: int, shift: int) -> tuple[int, int]:
+        a, b = self.left.pair(n, shift)
+        c, d = self.right.pair(n, shift)
+        return a * c, b * d
+
+
+class Neg(LazySeq):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: LazySeq):
+        self.arg = arg
+
+    def pair(self, n: int, shift: int) -> tuple[int, int]:
+        a, b = self.arg.pair(n, shift)
+        return -a, b
+
+    @property
+    def description(self) -> str:
+        return f"-({self.arg.description})"
+
+
+class Shift(LazySeq):
+    """Prefix with m zeros: the argument's value at n - m past index m."""
+
+    __slots__ = ("arg", "m")
+
+    def __init__(self, arg: LazySeq, m: int):
+        self.arg = arg
+        self.m = m
+
+    def pair(self, n: int, shift: int) -> tuple[int, int]:
+        if n <= self.m:
+            return 0, 1
+        return self.arg.pair(n - self.m, shift + self.m)
+
+    @property
+    def description(self) -> str:
+        return f"delay({self.arg.description}, {self.m})"
 
 
 class Quantity:
@@ -319,7 +473,7 @@ class Quantity:
 
     @classmethod
     def lazy(cls, evaluator: Callable[[int], Fraction], description: str = "lazy") -> "Quantity":
-        return cls(None, {}, LazySeq(evaluator, description))
+        return cls(None, {}, Opaque(evaluator, description))
 
     @property
     def is_closed(self) -> bool:
@@ -333,7 +487,7 @@ class Quantity:
         """Explicitly forget the closed form."""
         if not self.is_closed:
             return self
-        return Quantity.lazy(lambda n: eval_at(self, n), self.body.render())
+        return Quantity(None, {}, Leaf(self))
 
     def __eq__(self, other) -> bool:
         # Structural equality.  For Frechet equality use order.compare().
@@ -402,24 +556,26 @@ def eval_at(q: Quantity, n: int) -> Fraction:
         if n in q.patch:
             return q.patch[n]
         return q.body.value_at(n)
-    return _rat(q.seq.evaluator(n))
+    return q.seq.value(n)
 
 
-def _pointwise(q1, q2, op, symbol: str) -> Quantity:
+def as_node(q: Quantity) -> LazySeq:
+    """q's DAG node; a closed form gets a fresh ``Leaf`` with memos of its own."""
+    return q.seq if q.seq is not None else Leaf(q)
+
+
+def _pointwise(q1, q2, op, node) -> Quantity:
     q1, q2 = _coerce(q1), _coerce(q2)
     if q1.is_closed and q2.is_closed:
         support = set(q1.patch) | set(q2.patch)
         patch = {i: op(eval_at(q1, i), eval_at(q2, i)) for i in support}
         return Quantity.closed(op(q1.body, q2.body), patch)
-    return Quantity.lazy(
-        lambda n: op(eval_at(q1, n), eval_at(q2, n)),
-        f"({q1.description} {symbol} {q2.description})",
-    )
+    return Quantity(None, {}, node(as_node(q1), as_node(q2)))
 
 
 def add(q1, q2) -> Quantity:
     """Pointwise sum."""
-    return _pointwise(q1, q2, operator.add, "+")
+    return _pointwise(q1, q2, operator.add, Add)
 
 
 def neg(q) -> Quantity:
@@ -427,7 +583,7 @@ def neg(q) -> Quantity:
     q = _coerce(q)
     if q.is_closed:
         return Quantity.closed(-q.body, {i: -v for i, v in q.patch.items()})
-    return Quantity.lazy(lambda n: -eval_at(q, n), f"-({q.description})")
+    return Quantity(None, {}, Neg(q.seq))
 
 
 def sub(q1, q2) -> Quantity:
@@ -436,7 +592,7 @@ def sub(q1, q2) -> Quantity:
 
 def mul(q1, q2) -> Quantity:
     """Pointwise product."""
-    return _pointwise(q1, q2, operator.mul, "*")
+    return _pointwise(q1, q2, operator.mul, Mul)
 
 
 def pow_int(q, j: int) -> Quantity:
@@ -477,10 +633,7 @@ def delay(q, m: int) -> Quantity:
     if m == 0:
         return q
     if not q.is_closed:
-        return Quantity.lazy(
-            lambda n: Fraction(0) if n <= m else eval_at(q, n - m),
-            f"delay({q.description}, {m})",
-        )
+        return Quantity(None, {}, Shift(q.seq, m))
     # Re-expand each c*n^k*b^n at n-m into powers of n; needs k >= 0.
     out: dict[Key, Fraction] = {}
     for (base, power), c in q.body.items():

@@ -2,8 +2,10 @@
 
 The oracles here never call the code paths they check: closed forms are
 evaluated term by term from the textbook formula (never ``ExpPoly.value_at``),
-sums are brute-force loops over those values, comparisons are pointwise
-big-integer evaluation, and sqrt(2) digits come from integer square roots.
+lazy operations are mirrored by plain ``Fraction`` closures (never the DAG
+evaluator), sums are brute-force loops over those values, comparisons are
+pointwise big-integer evaluation, and sqrt(2) digits come from integer square
+roots.
 """
 
 from __future__ import annotations
@@ -56,10 +58,62 @@ def naive_value(e: ExpPoly, n: int) -> F:
 
 
 def naive_eval(q: Quantity, n: int) -> F:
-    """``eval_at`` with closed bodies evaluated by ``naive_value``; lazy evaluators as given."""
+    """Independent value of a closed quantity: its patch, else ``naive_value`` of its body.
+
+    A lazy quantity has no independent value; check it against a mirror.
+    """
     if not q.is_closed:
-        return eval_at(q, n)
+        raise TypeError("naive_eval takes closed forms; mirror lazy operations instead")
     return q.patch[n] if n in q.patch else naive_value(q.body, n)
+
+
+# Plain-Fraction mirrors of the lazy operations.  A mirror maps an index to a
+# Fraction through closures alone, never through a seqring node, so a lazy
+# quantity built by the same operations must agree with it at every index.
+def mirror_closed(q: Quantity):
+    return lambda n: naive_eval(q, n)
+
+
+def mirror_add(f, g):
+    return lambda n: f(n) + g(n)
+
+
+def mirror_sub(f, g):
+    return lambda n: f(n) - g(n)
+
+
+def mirror_mul(f, g):
+    return lambda n: f(n) * g(n)
+
+
+def mirror_neg(f):
+    return lambda n: -f(n)
+
+
+def mirror_delay(f, m: int):
+    return lambda n: F(0) if n <= m else f(n - m)
+
+
+def mirror_pow(f, j: int):
+    return lambda n: f(n) ** j
+
+
+def mirror_extend(fn, f):
+    """``calculus.extend`` of the RealFunction whose evaluator is ``fn``."""
+    return lambda n: F(fn(f(n)))
+
+
+def oracle_scan(ok, horizon: int) -> tuple:
+    """A lazy verdict as (status, index): the first n past the exempt ceil(h/10) where ok fails."""
+    for n in range(-(-horizon // 10) + 1, horizon + 1):
+        if not ok(n):
+            return ("fails", n)
+    return ("holds", horizon)
+
+
+def oracle_probe_k(horizon: int) -> int:
+    """The largest power of 10 at most horizon // 10 (1 below that)."""
+    return 10 ** (len(str(horizon // 10)) - 1)
 
 
 # Bodies that vanish at some index below 1 once read at n - m, so that a zero

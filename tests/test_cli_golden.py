@@ -15,7 +15,9 @@ the cap. The text lines and the argument-error lines near the end of the
 corpus were captured from the implementation that parsed each named call with
 its own code. The last five lines came with the cap on patch indices and with
 number tokens of decimal digits only; ``2²`` and ``①`` were reported before
-as a literal of too many digits at 1:1.
+as a literal of too many digits at 1:1. The four name lines after them came
+with names of letters, decimal digits and ``_`` only; before, ``N²`` and
+``N₂`` were unknown names (exit 2) and ``let x² = 1`` bound one.
 """
 
 import dataclasses
@@ -200,6 +202,15 @@ GOLDEN = [
      '{"kind":"error","operation":"parse","message":"syntax error at 1:1: expected a valid token"}'),
     ('٣ + 1', 0,
      '{"kind":"quantity","rendering":"4*n^0*1^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    # Names continue with letters, decimal digits and '_', so '²' and '₂' end them.
+    ('N²', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:2: expected a valid token"}'),
+    ('N₂', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:2: expected a valid token"}'),
+    ('let x² = 1', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:6: expected a valid token"}'),
+    ('let x1 = N + 1', 0,
+     '{"kind":"let","name":"x1","rendering":"1*n^1*1^n + 1*n^0*1^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
 ]
 
 # The text-mode line (format_text) of each statement above, from the same run.
@@ -288,6 +299,10 @@ TEXT = {
     '2²': 'error in parse: syntax error at 1:2: expected a valid token',
     '①': 'error in parse: syntax error at 1:1: expected a valid token',
     '٣ + 1': '4*n^0*1^n',
+    'N²': 'error in parse: syntax error at 1:2: expected a valid token',
+    'N₂': 'error in parse: syntax error at 1:2: expected a valid token',
+    'let x² = 1': 'error in parse: syntax error at 1:6: expected a valid token',
+    'let x1 = N + 1': 'x1 = 1*n^1*1^n + 1*n^0*1^n',
 }
 
 AST_TYPES = {

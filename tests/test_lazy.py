@@ -1,0 +1,248 @@
+"""Lazy expression DAGs and lazy verdicts against plain-Fraction mirrors.
+
+Each random DAG is built twice from one seeded draw: with seqring's lazy
+operations and with the closure mirrors of ``helpers``.  The two must agree
+at every index, in every access order, and the horizon-bounded verdicts must
+match a ``Fraction`` scan of the mirror values, witness included.  DAGs reuse
+subexpressions, so one leaf is read at several shifts in one walk.
+"""
+
+import random
+from fractions import Fraction as F
+from functools import partial
+
+from helpers import (
+    ALL_BASES,
+    mirror_add,
+    mirror_closed,
+    mirror_delay,
+    mirror_extend,
+    mirror_mul,
+    mirror_neg,
+    mirror_pow,
+    mirror_sub,
+    oracle_probe_k,
+    oracle_scan,
+    random_quantity,
+)
+
+from seqring import (
+    Comparison,
+    ExpPoly,
+    Quantity,
+    add,
+    compare_lazy,
+    delay,
+    eval_at,
+    is_infinitely_great,
+    is_infinitely_small,
+    mul,
+    neg,
+    pow_int,
+    sub,
+)
+from seqring.calculus import RealFunction, extend
+
+N = Quantity.closed(ExpPoly.single(1, 1, 1))
+RECIP = Quantity.closed(ExpPoly.single(1, -1, 1))
+
+
+def _opaque_value(a: int, b: int, c: int, n: int) -> F:
+    return F(a * n + b * (-1) ** n, n + c)
+
+
+def _cubic(x: F) -> F:
+    return x * x * x / 2 - x + 1
+
+
+CUBIC = RealFunction("cubic", _cubic)
+
+BINARY = {"add": (add, mirror_add), "sub": (sub, mirror_sub), "mul": (mul, mirror_mul)}
+
+
+def _leaf(rng: random.Random):
+    kind = rng.choice(("closed", "as_lazy", "opaque"))
+    if kind == "opaque":
+        fn = partial(_opaque_value, rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(0, 3))
+        return Quantity.lazy(fn, "opaque"), fn
+    q = random_quantity(rng, with_patch=True, max_terms=3, bases=ALL_BASES, pow_lo=-1, pow_hi=2)
+    return (q.as_lazy() if kind == "as_lazy" else q), mirror_closed(q)
+
+
+def _dag(rng: random.Random, depth: int, pool: list):
+    """A (quantity, mirror) pair of depth <= ``depth``; ``pool`` holds built pairs by depth to share."""
+    shared = [entry for d, entry in pool if d < depth]
+    if shared and rng.random() < 0.3:
+        return rng.choice(shared)
+    if depth == 0 or rng.random() < 0.2:
+        return _leaf(rng)
+    op = rng.choice(("add", "sub", "mul", "neg", "delay", "pow", "extend"))
+    q, f = _dag(rng, depth - 1, pool)
+    if op in BINARY:
+        q2, f2 = _dag(rng, depth - 1, pool)
+        lib, mirror = BINARY[op]
+        out = (lib(q, q2), mirror(f, f2)) if rng.random() < 0.5 else (lib(q2, q), mirror(f2, f))
+    elif op == "neg":
+        out = neg(q), mirror_neg(f)
+    elif op == "delay":
+        if q.is_closed and any(k < 0 for (_, k), _ in q.body.items()):
+            q = q.as_lazy()  # a closed form with n^-k has no closed delay
+        m = rng.randint(0, 4)
+        out = delay(q, m), mirror_delay(f, m)
+    elif op == "pow":
+        j = rng.randint(1, 3)
+        out = pow_int(q, j), mirror_pow(f, j)
+    else:
+        out = extend(CUBIC, q), mirror_extend(_cubic, f)
+    pool.append((depth, out))
+    return out
+
+
+def _access_orders(rng: random.Random) -> dict:
+    ascending = list(range(1, 31))
+    return {
+        "ascending": ascending,
+        "repeated": [n for n in ascending for _ in range(3)],
+        "descending": ascending[::-1],
+        "jumping": [rng.choice((1, 2, 3, 29, 30, 31, 120, 300)) for _ in range(30)],
+    }
+
+
+def _verdict(v) -> tuple:
+    return (v.status, v.witness if v.status == "fails" else v.checked_up_to)
+
+
+def test_random_dags_match_the_mirror_in_every_access_order():
+    rng = random.Random(7070)
+    lazy = 0
+    for _ in range(120):
+        pool = []
+        q, f = _dag(rng, rng.randint(1, 4), pool)
+        lazy += not q.is_closed
+        for order, indices in _access_orders(rng).items():
+            for n in indices:
+                assert eval_at(q, n) == f(n), (q.render(), order, n)
+    assert lazy >= 90
+
+
+def _compare_oracle(f1, f2, claim: Comparison, h: int) -> tuple:
+    ok = {Comparison.LESS: lambda a, b: a < b, Comparison.EQUAL: lambda a, b: a == b,
+          Comparison.GREATER: lambda a, b: a > b}[claim]
+    return oracle_scan(lambda n: ok(f1(n), f2(n)), h)
+
+
+def _small_oracle(f, h: int) -> tuple:
+    k = oracle_probe_k(h)
+    return oracle_scan(lambda n: abs(f(n)) < F(1, k), h)
+
+
+def _great_oracle(f, h: int) -> tuple:
+    direction = (f(h) > 0) - (f(h) < 0)
+    if direction == 0:
+        return ("fails", h)
+    k = oracle_probe_k(h)
+    return oracle_scan(lambda n: f(n) * direction > k, h)
+
+
+def test_random_dag_verdicts_match_a_fraction_scan():
+    rng = random.Random(7071)
+    statuses = set()
+    for _ in range(150):
+        pool = []
+        (q1, f1), (q2, f2) = _dag(rng, rng.randint(1, 3), pool), _dag(rng, rng.randint(1, 3), pool)
+        if q1.is_closed and q2.is_closed:
+            q1 = q1.as_lazy()
+        # q2 + c lies above q2 at every index when c > 0; q2 + c*(-1)^n crosses it.
+        c = F(rng.randint(1, 9), rng.randint(1, 4))
+        shifted = Quantity.closed(ExpPoly.constant(c) if rng.random() < 0.5 else ExpPoly.single(c, 0, -1))
+        q3, f3 = add(q2, shifted), mirror_add(f2, mirror_closed(shifted))
+        h = rng.randint(20, 80)
+        for a, fa, b, fb in ((q1, f1, q2, f2), (q2, f2, q3, f3), (neg(q3), mirror_neg(f3), neg(q2), mirror_neg(f2))):
+            for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
+                got = _verdict(compare_lazy(a, b, claim, h))
+                assert got == _compare_oracle(fa, fb, claim, h), (a.render(), b.render(), claim, h)
+                statuses.add(got[0])
+        for q, f in ((q1, f1), (neg(q1), mirror_neg(f1))):
+            if not q.is_closed:
+                assert _verdict(is_infinitely_small(q, h)) == _small_oracle(f, h), (q.render(), h)
+                assert _verdict(is_infinitely_great(q, h)) == _great_oracle(f, h), (q.render(), h)
+    assert statuses == {"holds", "fails"}
+
+
+def test_lazy_verdicts_through_negation_shift_and_product_match_a_fraction_scan():
+    # Sign-sensitive cases where one side only is negated, shifted or multiplied.
+    flip = Quantity.lazy(partial(_opaque_value, 0, 1, 0), "(-1)^n/n")
+    n2 = mul(N, N)
+    cases_small = [
+        (neg(RECIP.as_lazy()), mirror_neg(mirror_closed(RECIP))),
+        (neg(delay(RECIP.as_lazy(), 2)), mirror_neg(mirror_delay(mirror_closed(RECIP), 2))),
+        (mul(flip, RECIP), mirror_mul(partial(_opaque_value, 0, 1, 0), mirror_closed(RECIP))),
+        (add(neg(RECIP.as_lazy()), mul(RECIP, F(1, 2))), mirror_mul(mirror_closed(RECIP), lambda n: F(-1, 2))),
+        (neg(mul(N.as_lazy(), RECIP)), lambda n: F(-1)),
+    ]
+    for h in (30, 100, 250):
+        for q, f in cases_small:
+            assert _verdict(is_infinitely_small(q, h)) == _small_oracle(f, h), (q.render(), h)
+    cases_great = [
+        (neg(n2.as_lazy()), mirror_neg(mirror_closed(n2))),
+        (neg(delay(n2.as_lazy(), 3)), mirror_neg(mirror_delay(mirror_closed(n2), 3))),
+        (sub(RECIP.as_lazy(), n2), mirror_sub(mirror_closed(RECIP), mirror_closed(n2))),
+        (mul(neg(N.as_lazy()), N), mirror_neg(mirror_closed(n2))),
+        (neg(flip), mirror_neg(partial(_opaque_value, 0, 1, 0))),
+    ]
+    for h in (30, 100, 250):
+        for q, f in cases_great:
+            assert _verdict(is_infinitely_great(q, h)) == _great_oracle(f, h), (q.render(), h)
+    x, fx = N.as_lazy(), mirror_closed(N)
+    pairs = [
+        (neg(x), mirror_neg(fx), neg(add(x, 1)), mirror_neg(mirror_add(fx, lambda n: F(1)))),
+        (x, fx, delay(x, 1), mirror_delay(fx, 1)),
+        (delay(x, 2), mirror_delay(fx, 2), neg(x), mirror_neg(fx)),
+        (mul(x, RECIP), lambda n: F(1), neg(delay(x, 5)), mirror_neg(mirror_delay(fx, 5))),
+    ]
+    for h in (30, 100):
+        for a, fa, b, fb in pairs:
+            for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
+                for lhs, flhs, rhs, frhs in ((a, fa, b, fb), (b, fb, a, fa)):
+                    got = _verdict(compare_lazy(lhs, rhs, claim, h))
+                    assert got == _compare_oracle(flhs, frhs, claim, h), (lhs.render(), rhs.render(), claim, h)
+
+
+def test_one_leaf_read_at_two_shifts_steps_at_both():
+    # The same Leaf under delay 0 and delay 1: values match the mirror while
+    # both shifts step in one loop, and again after a jump back.
+    body = ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)})
+    x = Quantity.closed(body)
+    y = x.as_lazy()
+    both = sub(y, delay(y, 1))
+    f = mirror_sub(mirror_closed(x), mirror_delay(mirror_closed(x), 1))
+    for n in list(range(1, 60)) + [7, 8, 9, 200, 201, 3]:
+        assert eval_at(both, n) == f(n), n
+    assert compare_lazy(y, delay(y, 1), Comparison.LESS, 300).status == "holds"
+
+
+def test_lazy_descriptions_render_the_dag():
+    # Captured from the closure implementation, which built each description
+    # as a string at construction time.
+    P = Quantity.closed(ExpPoly({(F(1), 2): F(1, 2), (F(1), 1): F(1, 2)}))
+    L = N.as_lazy()
+    R = Quantity.lazy(lambda n: F(1, n), "1/n")
+    sine = RealFunction("sin", lambda x: x)
+    cases = [
+        (L, "lazy(1*n^1*1^n)"),
+        (Quantity.closed(P.body, {1: F(5)}).as_lazy(), "lazy(1/2*n^2*1^n + 1/2*n^1*1^n)"),
+        (add(L, P), "lazy((1*n^1*1^n + 1/2*n^2*1^n + 1/2*n^1*1^n))"),
+        (sub(L, P), "lazy((1*n^1*1^n + -1/2*n^2*1^n - 1/2*n^1*1^n))"),
+        (sub(P, R), "lazy((1/2*n^2*1^n + 1/2*n^1*1^n + -(1/n)))"),
+        (mul(R, F(-3, 4)), "lazy((1/n * -3/4*n^0*1^n))"),
+        (neg(neg(L)), "lazy(-(-(1*n^1*1^n)))"),
+        (delay(delay(L, 2), 3), "lazy(delay(delay(1*n^1*1^n, 2), 3))"),
+        (pow_int(add(L, 1), 3),
+         "lazy((((1*n^1*1^n + 1*n^0*1^n) * (1*n^1*1^n + 1*n^0*1^n)) * (1*n^1*1^n + 1*n^0*1^n)))"),
+        (extend(sine, add(L, 1)), "lazy(sin((1*n^1*1^n + 1*n^0*1^n)))"),
+        (Quantity.lazy(lambda n: F(n)), "lazy(lazy)"),
+        (add(0, R), "lazy((0 + 1/n))"),
+    ]
+    for q, text in cases:
+        assert q.render() == text
+        assert q.description == text[len("lazy("):-1]
