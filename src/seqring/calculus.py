@@ -34,11 +34,17 @@ from .errors import (
     ProbeNotInfinitesimal,
     ZeroProbeValue,
 )
-from .order import DEFAULT_HORIZON, Verdict, classify, first_checked_index, infinitely_close
+from .order import (
+    DEFAULT_HORIZON,
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
+    Verdict,
+    check_horizon,
+    classify,
+    first_checked_index,
+    infinitely_close,
+)
 from .quantity import ExpPoly, Quantity, eval_at
-
-DEFAULT_TOL = Fraction(1, 10**6)
-DEFAULT_WINDOW = 50
 
 
 class _OutOfDomain(Exception):
@@ -106,13 +112,15 @@ def standard_part(
     the quantity is infinitely great or oscillating).  Lazy sequences are
     sampled over the last ``window`` indices up to ``horizon`` and yield a
     StEstimate with the tail median and observed spread; the caller judges
-    the spread against its own tolerance.
+    the spread against its own tolerance.  A lazy sample needs
+    1 <= window <= horizon (ValueError otherwise).
     """
     if q.is_closed:
         kind = classify(q).kind
         if kind not in ("zero", "infinitesimal", "finite"):
             raise NotFinite(f"no standard part: quantity is {kind}")
         return q.body.coeff(1, 0)
+    check_horizon(horizon, window)
     samples = sorted(eval_at(q, n) for n in range(horizon - window + 1, horizon + 1))
     mid = len(samples) // 2
     if len(samples) % 2:

@@ -67,6 +67,7 @@ from .errors import ExprSyntaxError, SeqRingError
 from .order import (
     DEFAULT_HORIZON,
     Verdict,
+    check_horizon,
     classify,
     compare,
     infinitely_close,
@@ -748,6 +749,10 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="emit single-line JSON results")
     parser.add_argument("--batch", metavar="FILE", help="run statements from a file")
     args = parser.parse_args(argv)
+    try:
+        check_horizon(args.horizon, args.window)
+    except ValueError as exc:
+        parser.error(str(exc))
     config = Config(horizon=args.horizon, tol=args.tol, window=args.window, json_output=args.json)
     if args.batch:
         with open(args.batch, "r", encoding="utf-8") as handle:

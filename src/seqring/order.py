@@ -32,6 +32,8 @@ from .errors import LazyInput, ZeroDivisor
 from .quantity import ExpPoly, Quantity, as_node, eval_at, sub
 
 DEFAULT_HORIZON = 10_000
+DEFAULT_WINDOW = 50
+DEFAULT_TOL = Fraction(1, 10**6)
 
 EVEN, ODD = 0, 1
 
@@ -138,6 +140,14 @@ def compare(q1: Quantity, q2: Quantity) -> Comparison:
     return Comparison.INCOMPARABLE
 
 
+def check_horizon(horizon: int, window: int = 1) -> None:
+    """Reject, before any index is evaluated, a horizon below 1 or a window outside 1..horizon."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if not 1 <= window <= horizon:
+        raise ValueError("window must be between 1 and the horizon")
+
+
 def first_checked_index(horizon: int) -> int:
     """First index a lazy check evaluates: past the exempt first ceil(horizon/10)."""
     return -(-horizon // 10) + 1
@@ -162,8 +172,7 @@ def compare_lazy(
     The first ceil(horizon/10) indices are exempt; a violation past the
     exemption window yields Fails with the smallest violating index.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_horizon(horizon)
     if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
     ok = _CLAIMS[claim]
@@ -201,6 +210,7 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """
     if q.is_closed:
         return all(_term_vanishes(base, power) for (base, power), _ in q.body.items())
+    check_horizon(horizon)
     k, pair = _probe_k(horizon), q.seq.pair
 
     def small_at(n: int) -> bool:
@@ -231,6 +241,7 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """
     if q.is_closed:
         return _great_sign(_leads(q.body))
+    check_horizon(horizon)
     direction = _sign(eval_at(q, horizon))
     if direction == 0:
         return Verdict.fails(horizon)
@@ -303,8 +314,8 @@ def classify(q: Quantity) -> Classification:
 def classify_lazy(
     q: Quantity,
     horizon: int = DEFAULT_HORIZON,
-    window: int = 50,
-    tol: Fraction = Fraction(1, 10**6),
+    window: int = DEFAULT_WINDOW,
+    tol: Fraction = DEFAULT_TOL,
 ) -> Classification | None:
     """Horizon-based estimate for lazy sequences; None when the tail is inconclusive.
 

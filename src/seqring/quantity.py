@@ -19,8 +19,9 @@ intermediate value pays a gcd; ``eval_at`` normalizes once, and the lazy
 scans in ``order`` compare pairs by sign.
 
 All values are immutable after construction; lazy evaluators must be pure.
-"Immutable" means value-immutable: ``ExpPoly.value_at`` memoizes its last
-index, and each ``Leaf`` its last index per shift, so that consecutive
+"Immutable" means value-immutable: an ``ExpPoly`` memoizes the last index
+each reader stepped it to, keyed by the reader's shift (``value_at`` reads at
+shift 0, a ``Leaf`` at the sum of the delays above it), so that consecutive
 indices cost one multiplication per term, but the memos are invisible to
 equality, hashing and rendering.
 """
@@ -93,7 +94,7 @@ class ExpPoly:
     indices if and only if their canonical forms are identical.
     """
 
-    __slots__ = ("_coeffs", "_memo")
+    __slots__ = ("_coeffs", "_memos")
 
     def __init__(self, coeffs: Mapping[Key, Fraction] | None = None):
         cleaned: dict[Key, Fraction] = {}
@@ -106,8 +107,8 @@ class ExpPoly:
                 if c != 0:
                     cleaned[(base, int(power))] = c
         self._coeffs = cleaned
-        # value_at's last index: _advance's (n, S(n), I(n), (r_i**n per term), plan) + (value,).
-        self._memo: tuple | None = None
+        # Reader's shift -> its last index as _advance's (n, S(n), I(n), (r_i**n per term), plan).
+        self._memos: dict[int, tuple] = {}
 
     @classmethod
     def zero(cls) -> "ExpPoly":
@@ -150,39 +151,39 @@ class ExpPoly:
         large coefficient or index costs no gcd of two large integers.
 
         Horizon loops visit consecutive indices, so the last index is
-        memoized.  Index n + 1 multiplies each r_i**n by r_i and S by G/Q.
-        Any other index starts over with ``pow``.
+        memoized; ``value_at`` is the reader at shift 0 of ``pair_at``.
+        Index n + 1 multiplies each r_i**n by r_i and S by G/Q.  Any other
+        index starts over with ``pow``.
         """
         if n < 1:
             raise ValueError("sequence indices start at 1")
         if not self._coeffs:
             return Fraction(0)
-        memo = self._memo
-        if memo is not None and memo[0] == n:
-            return memo[5]
-        memo = self._advance(n, memo)
-        _, scale, inner, _, plan = memo
+        _, scale, inner, _, plan = self._state(n, 0)
         k_shift = plan[2]
-        value = scale * (Fraction(inner, n**k_shift) if k_shift else inner)
-        self._memo = memo + (value,)
-        return value
+        return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
 
-    def pair_at(self, n: int, memo: tuple | None) -> tuple[int, int, tuple | None]:
-        """The value at n >= 1 as an unnormalized pair (num, den), den > 0, and its memo.
+    def pair_at(self, n: int, shift: int) -> tuple[int, int]:
+        """The value at n >= 1 as an unnormalized pair (num, den), den > 0.
 
         The pair is (S.numerator * I(n), S.denominator * n**K) in the terms of
-        ``value_at``, with no gcd.  ``memo`` is what the previous call returned
-        (or None); the caller keeps it, so that several readers of one body
-        at different indices each step from their own last index.
+        ``value_at``, with no gcd.  ``shift`` names the reader: each shift
+        steps from its own last index, so a body read at n and at n - m in
+        one loop steps at both, and two readers at one shift share a step.
         """
         if not self._coeffs:
-            return 0, 1, None
-        if memo is None or memo[0] != n:
-            memo = self._advance(n, memo)
-        _, scale, inner, _, plan = memo
+            return 0, 1
+        _, scale, inner, _, plan = self._state(n, shift)
         k_shift = plan[2]
         den = scale.denominator * n**k_shift if k_shift else scale.denominator
-        return scale.numerator * inner, den, memo
+        return scale.numerator * inner, den
+
+    def _state(self, n: int, shift: int) -> tuple:
+        # The reader at shift's memo, advanced to n unless it holds n already.
+        memo = self._memos.get(shift)
+        if memo is None or memo[0] != n:
+            memo = self._memos[shift] = self._advance(n, memo)
+        return memo
 
     def _advance(self, n: int, memo: tuple | None) -> tuple:
         # (n, S(n), I(n), (r_i**n per term), plan), stepped from memo when it holds n - 1.
@@ -308,9 +309,9 @@ class LazySeq:
 
     ``pair(n, shift)`` is the evaluator: the value at n as an integer pair
     (num, den) with den > 0, not reduced.  ``shift`` is the sum of the delays
-    above the node on the path walked; it keys the memos of ``Leaf``, so a
-    leaf read at n and at n - m in one loop steps at both.  ``description``
-    renders the node.
+    above the node on the path walked; a ``Leaf`` passes it to its body's
+    ``ExpPoly.pair_at``, which keeps one stepping memo per shift.
+    ``description`` renders the node.
     """
 
     __slots__ = ()
@@ -326,19 +327,16 @@ class LazySeq:
 class Leaf(LazySeq):
     """A closed form, patch included, as an operand of lazy arithmetic."""
 
-    __slots__ = ("body", "patch", "_memos")
+    __slots__ = ("body", "patch")
 
     def __init__(self, q: "Quantity"):
         self.body, self.patch = q.body, q.patch
-        self._memos: dict[int, tuple | None] = {}  # shift -> ExpPoly.pair_at memo
 
     def pair(self, n: int, shift: int) -> tuple[int, int]:
         if n in self.patch:
             v = self.patch[n]
             return v.numerator, v.denominator
-        memos = self._memos
-        num, den, memos[shift] = self.body.pair_at(n, memos.get(shift))
-        return num, den
+        return self.body.pair_at(n, shift)
 
     @property
     def description(self) -> str:
@@ -560,7 +558,7 @@ def eval_at(q: Quantity, n: int) -> Fraction:
 
 
 def as_node(q: Quantity) -> LazySeq:
-    """q's DAG node; a closed form gets a fresh ``Leaf`` with memos of its own."""
+    """q's DAG node; a closed form is wrapped in a ``Leaf``, which reads its body's memos."""
     return q.seq if q.seq is not None else Leaf(q)
 
 

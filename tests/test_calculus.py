@@ -84,6 +84,26 @@ def test_standard_part_rejects_growth():
         standard_part(Quantity.closed(ExpPoly.single(1, 0, -1)))
 
 
+@pytest.mark.parametrize(
+    "horizon, window, message",
+    [
+        (0, 50, "horizon must be >= 1"),
+        (-5, 1, "horizon must be >= 1"),
+        (10, 50, "window must be between 1 and the horizon"),
+        (10, 11, "window must be between 1 and the horizon"),
+        (10, 0, "window must be between 1 and the horizon"),
+        (10, -3, "window must be between 1 and the horizon"),
+    ],
+)
+def test_lazy_standard_part_rejects_its_window_before_evaluating(horizon, window, message):
+    evaluated = []
+    q = Quantity.lazy(lambda n: evaluated.append(n) or F(1, n), "1/n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        standard_part(q, horizon, window)
+    assert evaluated == []
+    assert standard_part(q, 10, 10).achieved_window == 10  # the whole horizon is a window
+
+
 def test_standard_part_sqrt2_estimate():
     # oracle: continued-fraction convergent 665857/470832, error below 1e-11
     est = standard_part(lazy_sqrt2())

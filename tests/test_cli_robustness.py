@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from seqring.cli import Config, format_json, run_statement
+from seqring.cli import Config, format_json, main, run_statement
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -110,3 +110,31 @@ def test_fuzz_with_zero_denominators_and_long_literals():
         text = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 10)))
         _, code = run_statement(text, {}, Config())
         assert code in (0, 1, 2, 3), text[:80]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--horizon", "0"], "horizon must be >= 1"),
+        (["--horizon", "-5"], "horizon must be >= 1"),
+        (["--window", "0"], "window must be between 1 and the horizon"),
+        (["--window", "-1"], "window must be between 1 and the horizon"),
+        (["--horizon", "10", "--window", "11"], "window must be between 1 and the horizon"),
+    ],
+)
+def test_out_of_range_horizon_or_window_is_a_usage_error(tmp_path, capsys, options, message):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("deriv(sin, 0)\n1 + 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*options, "--json", "--batch", str(batch)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before any statement runs
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_window_equal_to_the_horizon_is_accepted(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("deriv(x -> x * x, 3)\n", encoding="utf-8")
+    assert main(["--horizon", "10", "--window", "10", "--batch", str(batch)]) == 0
+    assert capsys.readouterr().out.startswith("estimate ")

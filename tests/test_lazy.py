@@ -42,6 +42,7 @@ from seqring import (
     sub,
 )
 from seqring.calculus import RealFunction, extend
+from seqring.order import first_checked_index
 
 N = Quantity.closed(ExpPoly.single(1, 1, 1))
 RECIP = Quantity.closed(ExpPoly.single(1, -1, 1))
@@ -219,6 +220,35 @@ def test_one_leaf_read_at_two_shifts_steps_at_both():
     for n in list(range(1, 60)) + [7, 8, 9, 200, 201, 3]:
         assert eval_at(both, n) == f(n), n
     assert compare_lazy(y, delay(y, 1), Comparison.LESS, 300).status == "holds"
+
+
+def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
+    # Every read of a closed form steps the memo its body keeps for the
+    # reader's shift, so two readers at one shift step the body once per index.
+    body = ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)})
+    x = Quantity.closed(body)
+    steps = []  # (stepped from n - 1, n) per _advance call on body
+    advance = ExpPoly._advance
+
+    def counted(self, n, memo):
+        if self is body:
+            steps.append((memo is not None and memo[0] + 1 == n, n))
+        return advance(self, n, memo)
+
+    monkeypatch.setattr(ExpPoly, "_advance", counted)
+    h = 300
+    scanned = h - first_checked_index(h) + 1
+    assert compare_lazy(x.as_lazy(), add(x.as_lazy(), 1), Comparison.LESS, h).status == "holds"
+    assert len(steps) == scanned
+    steps.clear()
+    # extend reads the body through value_at, the reader at shift 0.
+    same = compare_lazy(extend(RealFunction("id", F), x), x.as_lazy(), Comparison.EQUAL, h)
+    assert same.status == "holds" and len(steps) == scanned
+    steps.clear()
+    y = x.as_lazy()
+    assert compare_lazy(y, delay(y, 1), Comparison.LESS, h).status == "holds"
+    assert len(steps) == 2 * scanned
+    assert sum(not stepped for stepped, _ in steps) <= 2  # one restart per shift
 
 
 def test_lazy_descriptions_render_the_dag():

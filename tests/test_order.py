@@ -200,6 +200,17 @@ def test_lazy_small_verdicts():
     assert v.status == "fails"
 
 
+@pytest.mark.parametrize("scan", [is_infinitely_small, is_infinitely_great, infinitely_close])
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_lazy_scans_reject_a_horizon_below_one_before_evaluating(scan, horizon):
+    evaluated = []
+    q = Quantity.lazy(lambda n: evaluated.append(n) or F(1, n), "1/n")
+    args = (q, N.as_lazy()) if scan is infinitely_close else (q,)
+    with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+        scan(*args, horizon)
+    assert evaluated == []
+
+
 def test_identity_is_infinitely_great():
     assert is_infinitely_great(N) == 1
 

@@ -166,8 +166,10 @@ def test_lazies_sharing_one_body_match_naive_formula():
 def test_value_at_memo_is_invisible():
     e = ExpPoly({(F(3, 7), 1): F(2, 3), (F(-3), -1): F(5), (F(1, 2), 0): F(-1, 4)})
     twin = ExpPoly(dict(e.items()))
-    for n in (1, 2, 3, 50, 50):
+    for n in (1, 2, 3, 50, 50, 4):
         e.value_at(n)
+        for shift in (0, 3):
+            assert F(*e.pair_at(n, shift)) == twin.value_at(n)
     assert e == twin
     assert hash(e) == hash(twin)
     assert e.render() == twin.render()
