@@ -216,8 +216,9 @@ def continuity_probe(
     For each infinitesimal probe h the gap |f(x + h(n)) - f(x)| must decay;
     a tail gap at or above tol that has not decayed since the early window
     is a failure with that index as witness.  The smallest witness across
-    probes is reported.
+    probes is reported.  Needs 1 <= window <= horizon (ValueError otherwise).
     """
+    check_horizon(horizon, window)
     x = Fraction(x)
     if probes is None:
         probes = default_probes()
@@ -242,8 +243,10 @@ def uniform_continuity_probe(
     """Whether f keeps the infinitely close pair (x_seq, y_seq) infinitely close.
 
     Unlike continuity_probe the base points travel with the index, so pairs
-    like (n) and (n + 1/n) expose non-uniformity at infinity.
+    like (n) and (n + 1/n) expose non-uniformity at infinity.  Needs
+    1 <= window <= horizon (ValueError otherwise).
     """
+    check_horizon(horizon, window)
     near = infinitely_close(x_seq, y_seq, horizon)
     if near is False or (isinstance(near, Verdict) and near.status == "fails"):
         raise NotInfinitelyClose("input sequences are not infinitely close")

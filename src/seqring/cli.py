@@ -504,12 +504,17 @@ def parse(text: str, line: int = 1):
 # Execution
 # ------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
+    """Run settings, checked once here: frozen, so a later assignment cannot skip the check."""
+
     horizon: int = DEFAULT_HORIZON
     tol: Fraction = DEFAULT_TOL
     window: int = DEFAULT_WINDOW
     json_output: bool = False
+
+    def __post_init__(self):
+        check_horizon(self.horizon, self.window)
 
 
 @dataclass
@@ -750,10 +755,9 @@ def main(argv=None) -> int:
     parser.add_argument("--batch", metavar="FILE", help="run statements from a file")
     args = parser.parse_args(argv)
     try:
-        check_horizon(args.horizon, args.window)
+        config = Config(horizon=args.horizon, tol=args.tol, window=args.window, json_output=args.json)
     except ValueError as exc:
         parser.error(str(exc))
-    config = Config(horizon=args.horizon, tol=args.tol, window=args.window, json_output=args.json)
     if args.batch:
         with open(args.batch, "r", encoding="utf-8") as handle:
             return run_batch(handle.read().splitlines(), config)

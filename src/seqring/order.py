@@ -321,9 +321,11 @@ def classify_lazy(
 
     A "finite" result carries the tail median as an estimated standard part.
     This is evidence, not proof: only a closed form can be classified exactly.
+    A lazy estimate needs 1 <= window <= horizon (ValueError otherwise).
     """
     if q.is_closed:
         return classify(q)
+    check_horizon(horizon, window)
     tail = [eval_at(q, n) for n in range(horizon - window + 1, horizon + 1)]
     # This early window starts at horizon // 10, inside the exempt prefix, not
     # at first_checked_index(horizon); moving it could change verdicts.

@@ -52,6 +52,16 @@ Key = tuple[Fraction, int]
 PrefixPatch = dict[int, Fraction]
 
 
+# The modulus of patch fingerprints (``Quantity.closed``): the Mersenne prime 2**61 - 1.
+_P = (1 << 61) - 1
+
+
+def _residue(x: Fraction) -> int | None:
+    # x mod _P, or None when _P divides x's denominator.
+    d = x.denominator % _P
+    return x.numerator * pow(d, -1, _P) % _P if d else None
+
+
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -207,6 +217,32 @@ class ExpPoly:
             inner += a * s * n**k if k else a * s
         return n, scale, inner, powers, plan
 
+    def fingerprint(self) -> Callable[[int], int | None]:
+        """n -> value_at(n) mod P for the prime P = 2**61 - 1, or None where undefined.
+
+        Reduction mod P is a ring map on the rationals whose denominators P
+        does not divide, so the value's residue is the sum over the terms of
+        (c mod P) * n**k * (b mod P)**n, reduced mod P.  The residues of c and
+        b are taken once here; each index costs one ``pow(b, n, P)`` and one
+        ``pow(n, k, P)`` per term.  The residue is undefined (None) when P
+        divides a denominator of some c or b, or divides n under a negative
+        power.
+        """
+        terms = [(_residue(c), _residue(b), k) for (b, k), c in self._coeffs.items()]
+        if any(c is None or b is None for c, b, _ in terms):
+            return lambda n: None
+        negative = any(k < 0 for _, _, k in terms)
+
+        def residue_at(n: int) -> int | None:
+            if negative and n % _P == 0:
+                return None
+            total = 0
+            for c, b, k in terms:
+                total += c * pow(b, n, _P) * pow(n, k, _P) if k else c * pow(b, n, _P)
+            return total % _P
+
+        return residue_at
+
     def zeros(self, hi: int) -> set[int]:
         """The indices 1..hi where the value is 0.
 
@@ -228,11 +264,9 @@ class ExpPoly:
 
     def _plan(self) -> tuple[Fraction, Fraction | None, int, tuple[tuple[int, int, int], ...]]:
         # (g/D, G/Q or None when it is 1, K, ((a_i, r_i, k_i + K) per term)): see value_at.
-        coeffs, keys = self._coeffs.values(), self._coeffs.keys()
-        d = lcm(*(c.denominator for c in coeffs))
-        q = lcm(*(b.denominator for b, _ in keys))
-        nums = [c.numerator * (d // c.denominator) for c in coeffs]
-        ratios = [b.numerator * (q // b.denominator) for b, _ in keys]
+        keys = self._coeffs.keys()
+        nums, d = _over_lcm(self._coeffs.values())
+        ratios, q = _over_lcm([b for b, _ in keys])
         g, big_g = gcd(*nums), gcd(*ratios)
         k_shift = max(0, *(-k for _, k in keys))
         terms = tuple(
@@ -260,12 +294,40 @@ class ExpPoly:
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
         # Term product: coefficients multiply, powers add, bases multiply.
-        out: dict[Key, Fraction] = {}
-        for (b1, k1), c1 in self._coeffs.items():
-            for (b2, k2), c2 in other._coeffs.items():
-                key = (b1 * b2, k1 + k2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ExpPoly(out)
+        # Each operand's coefficients are integer numerators over its lcm
+        # denominator, grouped by base, so a base pair is multiplied and
+        # hashed once and a key's coefficient is one Fraction(sum, da * db).
+        left, da = self._numerators_by_base()
+        right, db = other._numerators_by_base()
+        sums: dict[Fraction, dict[int, int]] = {}
+        for b1, terms1 in left.items():
+            for b2, terms2 in right.items():
+                acc = sums.setdefault(b1 * b2, {})
+                for k1, a1 in terms1:
+                    for k2, a2 in terms2:
+                        k = k1 + k2
+                        acc[k] = acc.get(k, 0) + a1 * a2
+        d = da * db
+        return ExpPoly._trusted(
+            {(base, k): Fraction(s, d) for base, acc in sums.items() for k, s in acc.items() if s}
+        )
+
+    def _numerators_by_base(self) -> tuple[dict[Fraction, list[tuple[int, int]]], int]:
+        # ({base: [(power, a), ...]}, D) with each coefficient c = a / D, D the lcm.
+        nums, d = _over_lcm(self._coeffs.values())
+        groups: dict[Fraction, list[tuple[int, int]]] = {}
+        for (base, power), a in zip(self._coeffs, nums):
+            groups.setdefault(base, []).append((power, a))
+        return groups, d
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[Key, Fraction]) -> "ExpPoly":
+        # An ExpPoly over coeffs that are canonical already: nonzero bases and
+        # coefficients, Fraction keys and values, no revalidation.
+        p = cls.__new__(cls)
+        p._coeffs = coeffs
+        p._memos = {}
+        return p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExpPoly) and self._coeffs == other._coeffs
@@ -289,6 +351,13 @@ class ExpPoly:
 
     def __repr__(self):
         return f"ExpPoly({self.render()})"
+
+
+def _over_lcm(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    # ([a, ...], D): each x = a / D over the lcm D of the denominators.
+    xs = list(xs)
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def _render_base(base: Fraction) -> str:
@@ -443,14 +512,27 @@ class Quantity:
 
     @classmethod
     def closed(cls, body: ExpPoly, patch: Mapping[int, object] | None = None) -> "Quantity":
+        """``body`` with the overrides in ``patch``, minus those equal to the body's value.
+
+        Dropping the equal overrides keeps the patch minimal.  Each override v
+        at i is first compared with body(i) modulo the prime P = 2**61 - 1
+        (``ExpPoly.fingerprint``): different residues prove v != body(i)
+        without computing body(i), whose size grows with i.  Equal residues,
+        or an undefined one (P divides a denominator, or divides i under a
+        negative power), fall back to the exact comparison, so the check
+        stays exact and no decision rests on the fingerprint alone.
+        """
         cleaned: PrefixPatch = {}
         if patch:
+            fingerprint = body.fingerprint()
             for i, v in patch.items():
                 i = int(i)
                 if i < 1:
                     raise ValueError("patch indices start at 1")
                 v = _rat(v)
-                if v != body.value_at(i):  # keep patches minimal
+                fv, fb = _residue(v), fingerprint(i)
+                differs = fv is not None and fb is not None and fv != fb
+                if differs or v != body.value_at(i):
                     cleaned[i] = v
         return cls(body, cleaned, None)
 

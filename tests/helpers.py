@@ -57,6 +57,20 @@ def naive_value(e: ExpPoly, n: int) -> F:
     return sum((c * F(n) ** k * b**n for (b, k), c in e.items()), F(0))
 
 
+def naive_product(a: ExpPoly, b: ExpPoly) -> dict:
+    """Independent product oracle: {(base, power): coeff}, term by term in plain Fractions.
+
+    Every pair of terms contributes c1 * c2 at (b1 * b2, k1 + k2); keys whose
+    contributions cancel are dropped.
+    """
+    out: dict = {}
+    for (b1, k1), c1 in a.items():
+        for (b2, k2), c2 in b.items():
+            key = (b1 * b2, k1 + k2)
+            out[key] = out.get(key, F(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c != 0}
+
+
 def naive_eval(q: Quantity, n: int) -> F:
     """Independent value of a closed quantity: its patch, else ``naive_value`` of its body.
 

@@ -104,6 +104,32 @@ def test_lazy_standard_part_rejects_its_window_before_evaluating(horizon, window
     assert standard_part(q, 10, 10).achieved_window == 10  # the whole horizon is a window
 
 
+@pytest.mark.parametrize(
+    "horizon, window, message",
+    [
+        (0, 50, "horizon must be >= 1"),
+        (10, 50, "window must be between 1 and the horizon"),
+        (10, 0, "window must be between 1 and the horizon"),
+    ],
+)
+def test_continuity_probes_reject_their_window_before_evaluating(horizon, window, message):
+    evaluated = []
+
+    def recording(values):
+        return Quantity.lazy(lambda n: evaluated.append(n) or values(n), "recording")
+
+    affine = RealFunction("affine", lambda x: 2 * x + 1)
+    probe = recording(lambda n: F(1, n))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        continuity_probe(affine, 0, [probe], horizon, window=window)
+    xs, ys = recording(lambda n: F(n)), recording(lambda n: n + F(1, n))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        uniform_continuity_probe(affine, xs, ys, horizon, window=window)
+    assert evaluated == []
+    # Accepted with the whole horizon as a window; the gap 2/n has not halved by n = 10.
+    assert continuity_probe(affine, 0, [probe], 10, window=10).status == "fails"
+
+
 def test_standard_part_sqrt2_estimate():
     # oracle: continued-fraction convergent 665857/470832, error below 1e-11
     est = standard_part(lazy_sqrt2())

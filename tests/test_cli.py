@@ -1,5 +1,6 @@
 """Expression language: parsing, execution, JSON output, batch exit codes."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -286,3 +287,19 @@ def test_fuzz_corpus_never_crashes():
         text = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12)))
         _, code = run_statement(text, {}, config)
         assert code in (0, 1, 2, 3), text
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"horizon": 0}, "horizon must be >= 1"),
+        ({"window": 0}, "window must be between 1 and the horizon"),
+        ({"horizon": 10}, "window must be between 1 and the horizon"),  # default window 50
+    ],
+)
+def test_config_rejects_an_out_of_range_horizon_or_window(options, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Config(**options)
+    config = Config(horizon=10, window=10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.horizon = 0

@@ -211,6 +211,24 @@ def test_lazy_scans_reject_a_horizon_below_one_before_evaluating(scan, horizon):
     assert evaluated == []
 
 
+@pytest.mark.parametrize(
+    "horizon, window, message",
+    [
+        (0, 50, "horizon must be >= 1"),
+        (10, 50, "window must be between 1 and the horizon"),
+        (10, 0, "window must be between 1 and the horizon"),
+    ],
+)
+def test_classify_lazy_rejects_its_window_before_evaluating(horizon, window, message):
+    evaluated = []
+    q = Quantity.lazy(lambda n: evaluated.append(n) or F(1, n), "1/n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        classify_lazy(q, horizon, window)
+    assert evaluated == []
+    zero = Quantity.lazy(lambda n: F(0), "0")
+    assert classify_lazy(zero, 10, 10).kind == "zero"  # the whole horizon is a window
+
+
 def test_identity_is_infinitely_great():
     assert is_infinitely_great(N) == 1
 

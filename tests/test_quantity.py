@@ -8,6 +8,7 @@ from helpers import (
     VANISHING_BODIES,
     check_zero_prefix,
     naive_eval,
+    naive_product,
     naive_value,
     random_poly,
     random_quantity,
@@ -221,6 +222,49 @@ def test_mul_scalar_homomorphism():
     assert mul(embed_scalar(2), embed_scalar(3)) == embed_scalar(6)
 
 
+# Bases whose products are 1 or -1 (2 * 1/2, -2 * -1/2), and coefficients
+# over several denominators, so that the integer numerators of a product sit
+# over different lcms and some keys cancel to 0.
+PRODUCT_BASES = [F(1), F(-1), F(2), F(1, 2), F(-2), F(-1, 2), F(3), F(2, 3)]
+
+
+def _product_form(rng: random.Random) -> ExpPoly:
+    return ExpPoly({
+        (rng.choice(PRODUCT_BASES), rng.randint(-2, 2)): F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6, 7)))
+        for _ in range(rng.randint(0, 5))
+    })
+
+
+def _check_product(a: ExpPoly, b: ExpPoly) -> None:
+    product = a * b
+    expected = naive_product(a, b)
+    assert dict(product.items()) == expected, (a, b)
+    assert product == ExpPoly(expected) and hash(product) == hash(ExpPoly(expected))
+    for n in (1, 2, 3, 10, 57):
+        assert naive_value(product, n) == naive_value(a, n) * naive_value(b, n), (a, b, n)
+
+
+def test_mul_matches_the_term_by_term_product():
+    rng = random.Random(10)
+    for _ in range(300):
+        _check_product(_product_form(rng), _product_form(rng))
+
+
+def test_mul_of_empty_constant_and_cancelling_forms():
+    two, half = ExpPoly.single(F(1, 3), 0, 2), ExpPoly.single(F(3, 5), -1, F(1, 2))
+    minus_two, minus_half = ExpPoly.single(5, 2, -2), ExpPoly.single(F(-1, 4), 0, F(-1, 2))
+    assert two * half == ExpPoly.single(F(1, 5), -1, 1)
+    assert minus_two * minus_half == ExpPoly.single(F(-5, 4), 2, 1)
+    # (2^n + (1/2)^n)(2^n - (1/2)^n): the two cross terms at base 1 cancel.
+    plus = ExpPoly({(F(2), 0): F(1), (F(1, 2), 0): F(1)})
+    minus = ExpPoly({(F(2), 0): F(1), (F(1, 2), 0): F(-1)})
+    assert plus * minus == ExpPoly({(F(4), 0): F(1), (F(1, 4), 0): F(-1)})
+    forms = [ExpPoly(), ExpPoly.constant(F(3, 5)), plus, minus, two, minus_half]
+    for a in forms:
+        for b in forms:
+            _check_product(a, b)
+
+
 def test_scalar_coercion_operators():
     q = 3 * N + 1
     assert eval_at(q, 5) == 16
@@ -326,6 +370,87 @@ def test_patch_lazy_unsupported():
 def test_patch_rejects_index_zero():
     with pytest.raises(ValueError):
         patch(N, {0: F(1)})
+
+
+# The minimality check compares an override with the body's value modulo
+# P = 2**61 - 1 first; only equal or undefined residues evaluate the body.
+MODULUS = 2305843009213693951
+
+
+def _value_at_calls(monkeypatch) -> list:
+    calls = []
+    value_at = ExpPoly.value_at
+
+    def counted(self, n):
+        calls.append(n)
+        return value_at(self, n)
+
+    monkeypatch.setattr(ExpPoly, "value_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "body, index",
+    [
+        (N.body, 5),
+        (ExpPoly.single(1, 0, F(3, 7)), 50),
+        (ExpPoly({(F(2), -1): F(5, 3), (F(-1), 2): F(-1, 4)}), 9),
+    ],
+)
+def test_patch_keeps_a_value_congruent_to_the_body_but_not_equal(monkeypatch, body, index):
+    q = Quantity.closed(body)
+    calls = _value_at_calls(monkeypatch)
+    for offset in (MODULUS, F(MODULUS, 7), -3 * MODULUS):
+        v = naive_value(body, index) + offset
+        assert patch(q, {index: v}).patch == {index: v}
+    assert calls == [index] * 3  # the residues agree, so the exact check decides
+
+
+def test_patch_drops_a_value_equal_to_the_body():
+    three_sevenths = Quantity.closed(ExpPoly.single(1, 0, F(3, 7)))
+    assert patch(N, {5: 5, 6: 7}).patch == {6: F(7)}
+    assert patch(three_sevenths, {50: F(3, 7) ** 50}).patch == {}
+    assert patch(three_sevenths, {50: F(3, 7) ** 50 + 1}).patch == {50: F(3, 7) ** 50 + 1}
+
+
+@pytest.mark.parametrize(
+    "body, index, equal",
+    [
+        (ExpPoly.single(F(1, MODULUS), 1, 1), 3, F(3, MODULUS)),  # coefficient over P
+        (ExpPoly.single(1, 0, F(1, MODULUS)), 2, F(1, MODULUS**2)),  # base over P
+        (ExpPoly.constant(F(1, MODULUS)), 7, F(1, MODULUS)),  # override over P
+        (ExpPoly.single(1, -1, 1), MODULUS, F(1, MODULUS)),  # N^-1 at index P
+        (ExpPoly.single(MODULUS, -1, 1), MODULUS, F(1)),  # P * N^-1 at index P: 1
+    ],
+)
+def test_patch_with_an_undefined_residue_takes_the_exact_path(monkeypatch, body, index, equal):
+    q = Quantity.closed(body)
+    calls = _value_at_calls(monkeypatch)
+    assert patch(q, {index: equal}).patch == {}
+    assert patch(q, {index: equal + 1}).patch == {index: equal + 1}
+    assert patch(q, {index: equal + MODULUS}).patch == {index: equal + MODULUS}
+    assert calls == [index] * 3
+    assert naive_value(body, index) == equal
+
+
+def test_patch_with_different_residues_evaluates_no_body(monkeypatch):
+    advances = []
+    advance = ExpPoly._advance
+    monkeypatch.setattr(ExpPoly, "_advance", lambda self, n, memo: advances.append(n) or advance(self, n, memo))
+    q = patch(Quantity.closed(ExpPoly.single(1, 0, F(3, 7))), {100000: 1})
+    assert q.patch == {100000: F(1)}
+    assert advances == []
+
+
+def test_patch_minimality_matches_the_naive_value():
+    rng = random.Random(11)
+    for _ in range(200):
+        body = _stepping_poly(rng)
+        overrides = {}
+        for i in rng.sample(range(1, 80), 6):
+            overrides[i] = naive_value(body, i) if rng.random() < 0.5 else F(rng.randint(-9, 9), rng.randint(1, 4))
+        q = patch(Quantity.closed(body), overrides)
+        assert q.patch == {i: v for i, v in overrides.items() if v != naive_value(body, i)}, body
 
 
 # ------------------------------------------------------------------
