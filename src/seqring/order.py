@@ -180,8 +180,8 @@ def compare_lazy(
 
     def holds_at(n: int) -> bool:
         # a/b against c/d with b, d > 0: compare a*d with c*b.
-        a, b = left(n, 0)
-        c, d = right(n, 0)
+        a, b = left(n)
+        c, d = right(n)
         return ok(a * d, c * b)
 
     return _scan(holds_at, horizon)
@@ -214,7 +214,7 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     k, pair = _probe_k(horizon), q.seq.pair
 
     def small_at(n: int) -> bool:
-        a, b = pair(n, 0)  # |a/b| < 1/k with b > 0
+        a, b = pair(n)  # |a/b| < 1/k with b > 0
         return abs(a) * k < b
 
     return _scan(small_at, horizon)
@@ -250,7 +250,7 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     def great_at(n: int) -> bool:
         # With direction = +-1 and bound >= 1: same sign as direction and
         # |q(n)| > bound, that is direction * a > bound * b for q(n) = a/b, b > 0.
-        a, b = pair(n, 0)
+        a, b = pair(n)
         return direction * a > bound * b
 
     return _scan(great_at, horizon)

@@ -19,11 +19,10 @@ intermediate value pays a gcd; ``eval_at`` normalizes once, and the lazy
 scans in ``order`` compare pairs by sign.
 
 All values are immutable after construction; lazy evaluators must be pure.
-"Immutable" means value-immutable: an ``ExpPoly`` memoizes the last index
-each reader stepped it to, keyed by the reader's shift (``value_at`` reads at
-shift 0, a ``Leaf`` at the sum of the delays above it), so that consecutive
-indices cost one multiplication per term, but the memos are invisible to
-equality, hashing and rendering.
+"Immutable" means value-immutable: an ``ExpPoly`` keeps at most two stepping
+memos keyed by the index they hold, so that consecutive indices cost one
+multiplication per term, even for a body read at n and at n - m in one loop,
+but the memos are invisible to equality, hashing and rendering.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class ExpPoly:
                 if c != 0:
                     cleaned[(base, int(power))] = c
         self._coeffs = cleaned
-        # Reader's shift -> its last index as _advance's (n, S(n), I(n), (r_i**n per term), plan).
+        # At most two: index n -> _advance's (n, S(n), I(n), (r_i**n per term), plan).
         self._memos: dict[int, tuple] = {}
 
     @classmethod
@@ -160,39 +159,40 @@ class ExpPoly:
         which takes several bases.  With one base I(n) stays small, so a
         large coefficient or index costs no gcd of two large integers.
 
-        Horizon loops visit consecutive indices, so the last index is
-        memoized; ``value_at`` is the reader at shift 0 of ``pair_at``.
-        Index n + 1 multiplies each r_i**n by r_i and S by G/Q.  Any other
-        index starts over with ``pow``.
+        Horizon loops visit consecutive indices, so a read at n takes the memo
+        at n, else steps the memo at n - 1 (each r_i**n times r_i, S times
+        G/Q), else starts over with ``pow``, evicting the older of two memos.
         """
         if n < 1:
             raise ValueError("sequence indices start at 1")
         if not self._coeffs:
             return Fraction(0)
-        _, scale, inner, _, plan = self._state(n, 0)
+        _, scale, inner, _, plan = self._state(n)
         k_shift = plan[2]
         return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
 
-    def pair_at(self, n: int, shift: int) -> tuple[int, int]:
+    def pair_at(self, n: int) -> tuple[int, int]:
         """The value at n >= 1 as an unnormalized pair (num, den), den > 0.
 
         The pair is (S.numerator * I(n), S.denominator * n**K) in the terms of
-        ``value_at``, with no gcd.  ``shift`` names the reader: each shift
-        steps from its own last index, so a body read at n and at n - m in
-        one loop steps at both, and two readers at one shift share a step.
+        ``value_at``, with no gcd, read through the same memos.
         """
         if not self._coeffs:
             return 0, 1
-        _, scale, inner, _, plan = self._state(n, shift)
+        _, scale, inner, _, plan = self._state(n)
         k_shift = plan[2]
         den = scale.denominator * n**k_shift if k_shift else scale.denominator
         return scale.numerator * inner, den
 
-    def _state(self, n: int, shift: int) -> tuple:
-        # The reader at shift's memo, advanced to n unless it holds n already.
-        memo = self._memos.get(shift)
-        if memo is None or memo[0] != n:
-            memo = self._memos[shift] = self._advance(n, memo)
+    def _state(self, n: int) -> tuple:
+        # The memo at n, else one advanced to n and re-keyed: see value_at.
+        memos = self._memos
+        memo = memos.get(n)
+        if memo is None:
+            memo = memos.pop(n - 1, None)
+            if memo is None and len(memos) == 2:
+                memo = memos.pop(next(iter(memos)))
+            memo = memos[n] = self._advance(n, memo)
         return memo
 
     def _advance(self, n: int, memo: tuple | None) -> tuple:
@@ -376,20 +376,17 @@ def canonicalize(terms: Iterable[Term]) -> ExpPoly:
 class LazySeq:
     """A lazy sequence: a node of an expression DAG, pure and total on indices n >= 1.
 
-    ``pair(n, shift)`` is the evaluator: the value at n as an integer pair
-    (num, den) with den > 0, not reduced.  ``shift`` is the sum of the delays
-    above the node on the path walked; a ``Leaf`` passes it to its body's
-    ``ExpPoly.pair_at``, which keeps one stepping memo per shift.
-    ``description`` renders the node.
+    ``pair(n)`` is the evaluator: the value at n as an integer pair (num, den)
+    with den > 0, not reduced.  ``description`` renders the node.
     """
 
     __slots__ = ()
 
-    def pair(self, n: int, shift: int) -> tuple[int, int]:
+    def pair(self, n: int) -> tuple[int, int]:
         raise NotImplementedError
 
     def value(self, n: int) -> Fraction:
-        num, den = self.pair(n, 0)
+        num, den = self.pair(n)
         return Fraction(num, den)
 
 
@@ -401,11 +398,11 @@ class Leaf(LazySeq):
     def __init__(self, q: "Quantity"):
         self.body, self.patch = q.body, q.patch
 
-    def pair(self, n: int, shift: int) -> tuple[int, int]:
+    def pair(self, n: int) -> tuple[int, int]:
         if n in self.patch:
             v = self.patch[n]
             return v.numerator, v.denominator
-        return self.body.pair_at(n, shift)
+        return self.body.pair_at(n)
 
     @property
     def description(self) -> str:
@@ -421,7 +418,7 @@ class Opaque(LazySeq):
         self.fn = fn
         self.description = description
 
-    def pair(self, n: int, shift: int) -> tuple[int, int]:
+    def pair(self, n: int) -> tuple[int, int]:
         v = _rat(self.fn(n))
         return v.numerator, v.denominator
 
@@ -448,9 +445,9 @@ class Add(_Pointwise):
     __slots__ = ()
     symbol = "+"
 
-    def pair(self, n: int, shift: int) -> tuple[int, int]:
-        a, b = self.left.pair(n, shift)
-        c, d = self.right.pair(n, shift)
+    def pair(self, n: int) -> tuple[int, int]:
+        a, b = self.left.pair(n)
+        c, d = self.right.pair(n)
         if b == d:  # operands over one body, or both integers
             return a + c, b
         return a * d + c * b, b * d
@@ -460,9 +457,9 @@ class Mul(_Pointwise):
     __slots__ = ()
     symbol = "*"
 
-    def pair(self, n: int, shift: int) -> tuple[int, int]:
-        a, b = self.left.pair(n, shift)
-        c, d = self.right.pair(n, shift)
+    def pair(self, n: int) -> tuple[int, int]:
+        a, b = self.left.pair(n)
+        c, d = self.right.pair(n)
         return a * c, b * d
 
 
@@ -472,8 +469,8 @@ class Neg(LazySeq):
     def __init__(self, arg: LazySeq):
         self.arg = arg
 
-    def pair(self, n: int, shift: int) -> tuple[int, int]:
-        a, b = self.arg.pair(n, shift)
+    def pair(self, n: int) -> tuple[int, int]:
+        a, b = self.arg.pair(n)
         return -a, b
 
     @property
@@ -490,10 +487,10 @@ class Shift(LazySeq):
         self.arg = arg
         self.m = m
 
-    def pair(self, n: int, shift: int) -> tuple[int, int]:
+    def pair(self, n: int) -> tuple[int, int]:
         if n <= self.m:
             return 0, 1
-        return self.arg.pair(n - self.m, shift + self.m)
+        return self.arg.pair(n - self.m)
 
     @property
     def description(self) -> str:
@@ -526,7 +523,7 @@ class Quantity:
         if patch:
             fingerprint = body.fingerprint()
             for i, v in patch.items():
-                i = int(i)
+                i = operator.index(i)
                 if i < 1:
                     raise ValueError("patch indices start at 1")
                 v = _rat(v)
@@ -630,6 +627,7 @@ def embed_scalar(r) -> Quantity:
 
 def eval_at(q: Quantity, n: int) -> Fraction:
     """Exact value of the n-th element (n >= 1); patch overrides win."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("sequence indices start at 1")
     if q.is_closed:
@@ -708,6 +706,7 @@ def _reciprocal(q: Quantity) -> Quantity:
 def delay(q, m: int) -> Quantity:
     """Prefix with m zeros: value 0 for n <= m, the original value at n - m after."""
     q = _coerce(q)
+    m = operator.index(m)
     if m < 0:
         raise ValueError("delay must be nonnegative")
     if m == 0:
@@ -737,5 +736,5 @@ def patch(q, overrides: Mapping[int, object]) -> Quantity:
     if not q.is_closed:
         raise LazyPatchUnsupported("cannot patch a lazy sequence")
     merged = dict(q.patch)
-    merged.update((int(i), v) for i, v in overrides.items())
+    merged.update((operator.index(i), v) for i, v in overrides.items())
     return Quantity.closed(q.body, merged)

@@ -33,12 +33,12 @@ def bernoulli_numbers(cap: int) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def faulhaber_sum(j: int, cap: int = DEGREE_CAP) -> ExpPoly:
+def faulhaber_sum(j: int) -> ExpPoly:
     """Exact closed form of sum(k**j, k=1..n) as a base-1 polynomial of degree j + 1."""
     if j < 0:
         raise NegativePowerTerm("faulhaber_sum needs a nonnegative power")
-    if j > cap:
-        raise DegreeCapExceeded(f"degree {j} above cap {cap}")
+    if j > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {j} above cap {DEGREE_CAP}")
     bern = bernoulli_numbers(j)
     coeffs = {}
     for i in range(j + 1):
@@ -49,7 +49,7 @@ def faulhaber_sum(j: int, cap: int = DEGREE_CAP) -> ExpPoly:
     return ExpPoly(coeffs)
 
 
-def geometric_power_sum(j: int, b, cap: int = DEGREE_CAP) -> ExpPoly:
+def geometric_power_sum(j: int, b) -> ExpPoly:
     """Exact closed form of sum(k**j * b**k, k=1..n) for b not in {0, 1}.
 
     The sum is A + p(n) * b**n with deg(p) <= j.  Matching the difference
@@ -60,8 +60,8 @@ def geometric_power_sum(j: int, b, cap: int = DEGREE_CAP) -> ExpPoly:
     b = Fraction(b)
     if j < 0:
         raise NegativePowerTerm("geometric_power_sum needs a nonnegative power")
-    if j > cap:
-        raise DegreeCapExceeded(f"degree {j} above cap {cap}")
+    if j > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {j} above cap {DEGREE_CAP}")
     if b == 1:
         raise BaseOne("base 1 has no geometric closed form; use faulhaber_sum")
     if b == 0:
@@ -92,13 +92,13 @@ class Series:
             raise ValueError("series start must be >= 1")
 
 
-def partial_sums(s: Series, cap: int = DEGREE_CAP) -> Quantity:
+def partial_sums(s: Series) -> Quantity:
     """The quantity of partial sums: value at n is sum(term(k), k=start..n), 0 below start."""
     total = ExpPoly.zero()
     for (base, power), coeff in s.term.items():
         if power < 0:
             raise NegativePowerTerm(f"series term has negative power {power}")
-        part = faulhaber_sum(power, cap) if base == 1 else geometric_power_sum(power, base, cap)
+        part = faulhaber_sum(power) if base == 1 else geometric_power_sum(power, base)
         total = total + part.scale(coeff)
     if s.start == 1:
         return Quantity.closed(total)

@@ -211,24 +211,35 @@ def test_lazy_verdicts_through_negation_shift_and_product_match_a_fraction_scan(
 
 def test_one_leaf_read_at_two_shifts_steps_at_both():
     # The same Leaf under delay 0 and delay 1: values match the mirror while
-    # both shifts step in one loop, and again after a jump back.
+    # both reads step in one loop, and again after a jump back.  Under three
+    # delays the reads outnumber the body's two memos and some restart.
     body = ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)})
     x = Quantity.closed(body)
-    y = x.as_lazy()
+    y, fx = x.as_lazy(), mirror_closed(x)
     both = sub(y, delay(y, 1))
-    f = mirror_sub(mirror_closed(x), mirror_delay(mirror_closed(x), 1))
+    f = mirror_sub(fx, mirror_delay(fx, 1))
+    three = add(both, delay(y, 2))
+    f3 = mirror_add(f, mirror_delay(fx, 2))
     for n in list(range(1, 60)) + [7, 8, 9, 200, 201, 3]:
         assert eval_at(both, n) == f(n), n
+        assert eval_at(three, n) == f3(n), n
     assert compare_lazy(y, delay(y, 1), Comparison.LESS, 300).status == "holds"
 
 
 def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
-    # Every read of a closed form steps the memo its body keeps for the
-    # reader's shift, so two readers at one shift step the body once per index.
-    body = ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)})
-    x = Quantity.closed(body)
+    # A read of a closed form at n returns its body's memo at n or steps the
+    # memo at n - 1, so two readers at one index step the body once per index,
+    # and readers at n and n - 1 step it twice.  Each scan reads a fresh body.
+    coeffs = {(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)}
+    body = None
     steps = []  # per _advance call on body: whether it stepped from n - 1
     advance = ExpPoly._advance
+
+    def fresh() -> Quantity:
+        nonlocal body
+        body = ExpPoly(coeffs)
+        steps.clear()
+        return Quantity.closed(body)
 
     def counted(self, n, memo):
         if self is body:
@@ -238,17 +249,28 @@ def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
     monkeypatch.setattr(ExpPoly, "_advance", counted)
     h = 300
     scanned = h - first_checked_index(h) + 1
+    x = fresh()
     assert compare_lazy(x.as_lazy(), add(x.as_lazy(), 1), Comparison.LESS, h).status == "holds"
-    assert len(steps) == scanned
-    steps.clear()
-    # extend reads the body through value_at, the reader at shift 0.
+    assert len(steps) == scanned and steps.count(False) == 1
+    # extend reads the body through value_at, which shares pair_at's memos.
+    x = fresh()
     same = compare_lazy(extend(RealFunction("id", F), x), x.as_lazy(), Comparison.EQUAL, h)
-    assert same.status == "holds" and len(steps) == scanned
+    assert same.status == "holds" and len(steps) == scanned and steps.count(False) == 1
+    y = fresh().as_lazy()
+    eval_at(y, 1000)  # a stale memo, which the first two reads below must evict
     steps.clear()
-    y = x.as_lazy()
     assert compare_lazy(y, delay(y, 1), Comparison.LESS, h).status == "holds"
     assert len(steps) == 2 * scanned
-    assert steps.count(False) <= 2  # one restart per shift
+    assert steps.count(False) == 2  # one restart for each read of the first index
+
+
+def test_delays_of_one_body_keep_at_most_two_memos():
+    # One body read at one index under 200 delays: two memos, not one per delay.
+    x = Quantity.closed(ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(-1), 1): F(7)}))
+    fx = mirror_closed(x)
+    for m in range(1, 201):
+        assert eval_at(delay(x.as_lazy(), m), 3000) == fx(3000 - m)
+        assert len(x.body._memos) <= 2
 
 
 def test_lazy_descriptions_render_the_dag():

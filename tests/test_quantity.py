@@ -116,8 +116,26 @@ def test_eval_rejects_index_zero():
         eval_at(N, 0)
 
 
-# value_at remembers its last index; every access order must agree with the
-# textbook formula.
+@pytest.mark.parametrize("call, arg", [
+    pytest.param(lambda i: patch(N, {i: 7}), 1.5, id="patch"),
+    pytest.param(lambda i: Quantity.closed(N.body, {i: 7}), F(3, 2), id="closed"),
+    pytest.param(lambda i: eval_at(N, i), 2.5, id="eval_at"),
+    pytest.param(lambda i: eval_at(N.as_lazy(), i), 2.5, id="eval_at-lazy"),
+    pytest.param(lambda i: delay(N.as_lazy(), i), 1.5, id="delay-lazy"),
+    pytest.param(lambda i: delay(N, i), 1.5, id="delay"),
+    pytest.param(lambda i: delay(N.as_lazy(), i), True, id="delay-bool"),
+])
+def test_integer_arguments_are_checked(call, arg):
+    # A non-integer index or delay is a TypeError; a bool counts as its int.
+    if isinstance(arg, bool):
+        assert call(arg).render() == call(int(arg)).render() == "lazy(delay(1*n^1*1^n, 1))"
+    else:
+        with pytest.raises(TypeError):
+            call(arg)
+
+
+# value_at keeps memos at up to two indices; every access order must agree
+# with the textbook formula.
 STEP_BASES = [F(1), F(-1), F(1, 2), F(-1, 2), F(3, 7), F(-3)]
 
 
@@ -169,8 +187,9 @@ def test_value_at_memo_is_invisible():
     twin = ExpPoly(dict(e.items()))
     for n in (1, 2, 3, 50, 50, 4):
         e.value_at(n)
-        for shift in (0, 3):
-            assert F(*e.pair_at(n, shift)) == twin.value_at(n)
+        assert F(*e.pair_at(n)) == twin.value_at(n)
+        if n > 3:
+            assert F(*e.pair_at(n - 3)) == twin.value_at(n - 3)
     assert e == twin
     assert hash(e) == hash(twin)
     assert e.render() == twin.render()
