@@ -77,6 +77,7 @@ from .quantity import (
     patch,
     pow_int,
     sub,
+    values,
 )
 from .series import (
     DEGREE_CAP,

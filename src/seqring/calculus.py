@@ -44,7 +44,7 @@ from .order import (
     first_checked_index,
     infinitely_close,
 )
-from .quantity import ExpPoly, Quantity, eval_at
+from .quantity import ExpPoly, LazySeq, Quantity, as_node, values
 
 
 class _OutOfDomain(Exception):
@@ -99,8 +99,8 @@ class StEstimate:
 
 
 def extend(f: RealFunction, q: Quantity) -> Quantity:
-    """The pointwise extension of f: the lazy sequence n -> f(q(n))."""
-    return Quantity.lazy(lambda n: f.at(eval_at(q, n), n), f"{f.name}({q.description})")
+    """The pointwise extension of f: the lazy sequence n -> f(q(n)), an "apply" node over q's."""
+    return Quantity(None, {}, LazySeq("apply", (as_node(q),), (f.at, f.name)))
 
 
 def standard_part(
@@ -121,7 +121,7 @@ def standard_part(
             raise NotFinite(f"no standard part: quantity is {kind}")
         return q.body.coeff(1, 0)
     check_horizon(horizon, window)
-    samples = sorted(eval_at(q, n) for n in range(horizon - window + 1, horizon + 1))
+    samples = sorted(map(values(q), range(horizon - window + 1, horizon + 1)))
     mid = len(samples) // 2
     if len(samples) % 2:
         median = samples[mid]
@@ -158,9 +158,10 @@ def derivative(
     x = Fraction(x)
     h = probe if probe is not None else unit_infinitesimal()
     _check_probe(h, "derivative")
+    h_at = values(h)
 
     def quotient(n: int) -> Fraction:
-        hn = eval_at(h, n)
+        hn = h_at(n)
         if hn == 0:
             raise ZeroProbeValue(n)
         return (f.at(x + hn, n) - f.at(x, n)) / hn
@@ -227,7 +228,7 @@ def continuity_probe(
     fx = f.at(x)
     verdicts = []
     for h in probes:
-        gap = lambda n, h=h: abs(f.at(x + eval_at(h, n), n) - fx)
+        gap = lambda n, h_at=values(h): abs(f.at(x + h_at(n), n) - fx)
         verdicts.append(_decay_verdict(gap, horizon, tol, window))
     return _combine(verdicts, horizon)
 
@@ -250,8 +251,9 @@ def uniform_continuity_probe(
     near = infinitely_close(x_seq, y_seq, horizon)
     if near is False or (isinstance(near, Verdict) and near.status == "fails"):
         raise NotInfinitelyClose("input sequences are not infinitely close")
+    x_at, y_at = values(x_seq), values(y_seq)
     return _decay_verdict(
-        lambda n: abs(f.at(eval_at(x_seq, n), n) - f.at(eval_at(y_seq, n), n)),
+        lambda n: abs(f.at(x_at(n), n) - f.at(y_at(n), n)),
         horizon,
         tol,
         window,

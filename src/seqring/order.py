@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import LazyInput, ZeroDivisor
-from .quantity import ExpPoly, Quantity, as_node, eval_at, sub
+from .quantity import ExpPoly, Quantity, reader, sub, values
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_WINDOW = 50
@@ -175,13 +175,11 @@ def compare_lazy(
     check_horizon(horizon)
     if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
-    ok = _CLAIMS[claim]
-    left, right = as_node(q1).pair, as_node(q2).pair
+    ok, read = _CLAIMS[claim], reader(q1, q2)
 
     def holds_at(n: int) -> bool:
         # a/b against c/d with b, d > 0: compare a*d with c*b.
-        a, b = left(n)
-        c, d = right(n)
+        (a, b), (c, d) = read(n)
         return ok(a * d, c * b)
 
     return _scan(holds_at, horizon)
@@ -211,10 +209,10 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     if q.is_closed:
         return all(_term_vanishes(base, power) for (base, power), _ in q.body.items())
     check_horizon(horizon)
-    k, pair = _probe_k(horizon), q.seq.pair
+    k, read = _probe_k(horizon), reader(q)
 
     def small_at(n: int) -> bool:
-        a, b = pair(n)  # |a/b| < 1/k with b > 0
+        ((a, b),) = read(n)  # |a/b| < 1/k with b > 0
         return abs(a) * k < b
 
     return _scan(small_at, horizon)
@@ -242,15 +240,15 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     if q.is_closed:
         return _great_sign(_leads(q.body))
     check_horizon(horizon)
-    direction = _sign(eval_at(q, horizon))
+    bound, read = _probe_k(horizon), reader(q)
+    direction = _sign(read(horizon)[0][0])
     if direction == 0:
         return Verdict.fails(horizon)
-    bound, pair = _probe_k(horizon), q.seq.pair
 
     def great_at(n: int) -> bool:
         # With direction = +-1 and bound >= 1: same sign as direction and
         # |q(n)| > bound, that is direction * a > bound * b for q(n) = a/b, b > 0.
-        a, b = pair(n)
+        ((a, b),) = read(n)
         return direction * a > bound * b
 
     return _scan(great_at, horizon)
@@ -326,10 +324,11 @@ def classify_lazy(
     if q.is_closed:
         return classify(q)
     check_horizon(horizon, window)
-    tail = [eval_at(q, n) for n in range(horizon - window + 1, horizon + 1)]
+    value = values(q)
+    tail = [value(n) for n in range(horizon - window + 1, horizon + 1)]
     # This early window starts at horizon // 10, inside the exempt prefix, not
     # at first_checked_index(horizon); moving it could change verdicts.
-    early = [eval_at(q, n) for n in range(max(1, horizon // 10), max(1, horizon // 10) + window)]
+    early = [value(n) for n in range(max(1, horizon // 10), max(1, horizon // 10) + window)]
     if all(v == 0 for v in tail):
         return Classification("zero")
     tail_mag = max(abs(v) for v in tail)

@@ -12,17 +12,16 @@ A quantity is a sequence of rationals indexed from n = 1, stored either as
 Closed forms are the decidable fragment: addition and multiplication stay
 inside it, and the ordering layer can compare them exactly.  Arithmetic that
 mixes a closed form with a lazy sequence lowers the result to lazy: ``add``,
-``mul``, ``neg`` and ``delay`` build ``Add``, ``Mul``, ``Neg`` and ``Shift``
-nodes over ``Leaf`` (a closed form) and ``Opaque`` (an evaluator) nodes.  A node is evaluated at
-one index as an unnormalized integer pair (num, den) with den > 0, so no
-intermediate value pays a gcd; ``eval_at`` normalizes once, and the lazy
-scans in ``order`` compare pairs by sign.
+``mul``, ``neg`` and ``delay`` build ``LazySeq`` nodes tagged "+", "*", "neg"
+and "delay" over "leaf" (a closed form) and "opaque" (an evaluator) nodes,
+and ``calculus.extend`` builds "apply" nodes.  Nodes hold no evaluation
+state.  ``reader`` compiles DAGs once into slots, one per node and index
+offset, and evaluates each slot once per index as an unnormalized integer
+pair (num, den) with den > 0, so no intermediate value pays a gcd; each
+closed form in it steps from one index to the next.  ``values`` turns the
+pairs into Fractions, and the lazy scans in ``order`` compare them by sign.
 
 All values are immutable after construction; lazy evaluators must be pure.
-"Immutable" means value-immutable: an ``ExpPoly`` keeps at most two stepping
-memos keyed by the index they hold, so that consecutive indices cost one
-multiplication per term, even for a body read at n and at n - m in one loop,
-but the memos are invisible to equality, hashing and rendering.
 """
 
 from __future__ import annotations
@@ -86,6 +85,7 @@ class Term:
             raise InvalidTerm("term base must be nonzero")
 
     def value_at(self, n: int) -> Fraction:
+        n = operator.index(n)
         return self.coeff * Fraction(n) ** self.power * self.base**n
 
 
@@ -103,7 +103,7 @@ class ExpPoly:
     indices if and only if their canonical forms are identical.
     """
 
-    __slots__ = ("_coeffs", "_memos")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[Key, Fraction] | None = None):
         cleaned: dict[Key, Fraction] = {}
@@ -116,8 +116,6 @@ class ExpPoly:
                 if c != 0:
                     cleaned[(base, int(power))] = c
         self._coeffs = cleaned
-        # At most two: index n -> _advance's (n, S(n), I(n), (r_i**n per term), plan).
-        self._memos: dict[int, tuple] = {}
 
     @classmethod
     def zero(cls) -> "ExpPoly":
@@ -159,41 +157,12 @@ class ExpPoly:
         which takes several bases.  With one base I(n) stays small, so a
         large coefficient or index costs no gcd of two large integers.
 
-        Horizon loops visit consecutive indices, so a read at n takes the memo
-        at n, else steps the memo at n - 1 (each r_i**n times r_i, S times
-        G/Q), else starts over with ``pow``, evicting the older of two memos.
+        This is one read, computed with ``pow``.  The body keeps no state: a
+        loop over consecutive indices reads through ``values`` or ``reader``,
+        which step each r_i**n and S(n) by one multiplication per index.
         """
-        if n < 1:
-            raise ValueError("sequence indices start at 1")
-        if not self._coeffs:
-            return Fraction(0)
-        _, scale, inner, _, plan = self._state(n)
-        k_shift = plan[2]
-        return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
-
-    def pair_at(self, n: int) -> tuple[int, int]:
-        """The value at n >= 1 as an unnormalized pair (num, den), den > 0.
-
-        The pair is (S.numerator * I(n), S.denominator * n**K) in the terms of
-        ``value_at``, with no gcd, read through the same memos.
-        """
-        if not self._coeffs:
-            return 0, 1
-        _, scale, inner, _, plan = self._state(n)
-        k_shift = plan[2]
-        den = scale.denominator * n**k_shift if k_shift else scale.denominator
-        return scale.numerator * inner, den
-
-    def _state(self, n: int) -> tuple:
-        # The memo at n, else one advanced to n and re-keyed: see value_at.
-        memos = self._memos
-        memo = memos.get(n)
-        if memo is None:
-            memo = memos.pop(n - 1, None)
-            if memo is None and len(memos) == 2:
-                memo = memos.pop(next(iter(memos)))
-            memo = memos[n] = self._advance(n, memo)
-        return memo
+        n = _index(n)
+        return _value(self._advance(n, None))
 
     def _advance(self, n: int, memo: tuple | None) -> tuple:
         # (n, S(n), I(n), (r_i**n per term), plan), stepped from memo when it holds n - 1.
@@ -268,7 +237,7 @@ class ExpPoly:
         nums, d = _over_lcm(self._coeffs.values())
         ratios, q = _over_lcm([b for b, _ in keys])
         g, big_g = gcd(*nums), gcd(*ratios)
-        k_shift = max(0, *(-k for _, k in keys))
+        k_shift = max([0, *(-k for _, k in keys)])
         terms = tuple(
             (a // g, r // big_g, k + k_shift) for a, r, (_, k) in zip(nums, ratios, keys)
         )
@@ -326,7 +295,6 @@ class ExpPoly:
         # coefficients, Fraction keys and values, no revalidation.
         p = cls.__new__(cls)
         p._coeffs = coeffs
-        p._memos = {}
         return p
 
     def __eq__(self, other) -> bool:
@@ -353,6 +321,12 @@ class ExpPoly:
         return f"ExpPoly({self.render()})"
 
 
+def _value(memo: tuple) -> Fraction:
+    # S(n) * I(n) / n**K from an ``_advance`` memo: see ExpPoly.value_at.
+    n, scale, inner, _, (_, _, k_shift, _) = memo
+    return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
+
+
 def _over_lcm(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     # ([a, ...], D): each x = a / D over the lcm D of the denominators.
     xs = list(xs)
@@ -374,127 +348,33 @@ def canonicalize(terms: Iterable[Term]) -> ExpPoly:
 
 
 class LazySeq:
-    """A lazy sequence: a node of an expression DAG, pure and total on indices n >= 1.
+    """A node of a lazy expression DAG, pure and total on indices n >= 1.
 
-    ``pair(n)`` is the evaluator: the value at n as an integer pair (num, den)
-    with den > 0, not reduced.  ``description`` renders the node.
+    ``op`` is "leaf" (``data``: a closed Quantity, patch included), "opaque"
+    (``data``: (evaluator, description)), "apply" (n -> f(arg(n), n); ``data``:
+    (f, name)), "+", "*", "neg" or "delay" (``data``: m); ``args`` are the
+    operand nodes.  A node holds no evaluation state: ``reader`` evaluates it.
     """
 
-    __slots__ = ()
+    __slots__ = ("op", "args", "data")
 
-    def pair(self, n: int) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def value(self, n: int) -> Fraction:
-        num, den = self.pair(n)
-        return Fraction(num, den)
-
-
-class Leaf(LazySeq):
-    """A closed form, patch included, as an operand of lazy arithmetic."""
-
-    __slots__ = ("body", "patch")
-
-    def __init__(self, q: "Quantity"):
-        self.body, self.patch = q.body, q.patch
-
-    def pair(self, n: int) -> tuple[int, int]:
-        if n in self.patch:
-            v = self.patch[n]
-            return v.numerator, v.denominator
-        return self.body.pair_at(n)
+    def __init__(self, op: str, args: tuple["LazySeq", ...] = (), data=None):
+        self.op, self.args, self.data = op, args, data
 
     @property
     def description(self) -> str:
-        return self.body.render()
-
-
-class Opaque(LazySeq):
-    """A user evaluator from index to rational, with its description."""
-
-    __slots__ = ("fn", "description")
-
-    def __init__(self, fn: Callable[[int], Fraction], description: str):
-        self.fn = fn
-        self.description = description
-
-    def pair(self, n: int) -> tuple[int, int]:
-        v = _rat(self.fn(n))
-        return v.numerator, v.denominator
-
-    def value(self, n: int) -> Fraction:
-        # The evaluator's Fraction is reduced already; Fraction(num, den) would
-        # pay its gcd again, on 10^4-digit operands for decimal expansions.
-        return _rat(self.fn(n))
-
-
-class _Pointwise(LazySeq):
-    __slots__ = ("left", "right")
-    symbol = ""
-
-    def __init__(self, left: LazySeq, right: LazySeq):
-        self.left = left
-        self.right = right
-
-    @property
-    def description(self) -> str:
-        return f"({self.left.description} {self.symbol} {self.right.description})"
-
-
-class Add(_Pointwise):
-    __slots__ = ()
-    symbol = "+"
-
-    def pair(self, n: int) -> tuple[int, int]:
-        a, b = self.left.pair(n)
-        c, d = self.right.pair(n)
-        if b == d:  # operands over one body, or both integers
-            return a + c, b
-        return a * d + c * b, b * d
-
-
-class Mul(_Pointwise):
-    __slots__ = ()
-    symbol = "*"
-
-    def pair(self, n: int) -> tuple[int, int]:
-        a, b = self.left.pair(n)
-        c, d = self.right.pair(n)
-        return a * c, b * d
-
-
-class Neg(LazySeq):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: LazySeq):
-        self.arg = arg
-
-    def pair(self, n: int) -> tuple[int, int]:
-        a, b = self.arg.pair(n)
-        return -a, b
-
-    @property
-    def description(self) -> str:
-        return f"-({self.arg.description})"
-
-
-class Shift(LazySeq):
-    """Prefix with m zeros: the argument's value at n - m past index m."""
-
-    __slots__ = ("arg", "m")
-
-    def __init__(self, arg: LazySeq, m: int):
-        self.arg = arg
-        self.m = m
-
-    def pair(self, n: int) -> tuple[int, int]:
-        if n <= self.m:
-            return 0, 1
-        return self.arg.pair(n - self.m)
-
-    @property
-    def description(self) -> str:
-        return f"delay({self.arg.description}, {self.m})"
+        op, args, data = self.op, self.args, self.data
+        if op == "leaf":
+            return data.body.render()
+        if op == "opaque":
+            return data[1]
+        if op == "apply":
+            return f"{data[1]}({args[0].description})"
+        if op == "neg":
+            return f"-({args[0].description})"
+        if op == "delay":
+            return f"delay({args[0].description}, {data})"
+        return f"({args[0].description} {op} {args[1].description})"
 
 
 class Quantity:
@@ -550,7 +430,7 @@ class Quantity:
 
     @classmethod
     def lazy(cls, evaluator: Callable[[int], Fraction], description: str = "lazy") -> "Quantity":
-        return cls(None, {}, Opaque(evaluator, description))
+        return cls(None, {}, LazySeq("opaque", (), (evaluator, description)))
 
     @property
     def is_closed(self) -> bool:
@@ -564,7 +444,7 @@ class Quantity:
         """Explicitly forget the closed form."""
         if not self.is_closed:
             return self
-        return Quantity(None, {}, Leaf(self))
+        return Quantity(None, {}, LazySeq("leaf", (), self))
 
     def __eq__(self, other) -> bool:
         # Structural equality.  For Frechet equality use order.compare().
@@ -626,34 +506,151 @@ def embed_scalar(r) -> Quantity:
 
 
 def eval_at(q: Quantity, n: int) -> Fraction:
-    """Exact value of the n-th element (n >= 1); patch overrides win."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("sequence indices start at 1")
-    if q.is_closed:
-        if n in q.patch:
-            return q.patch[n]
-        return q.body.value_at(n)
-    return q.seq.value(n)
+    """Exact value of the n-th element (n >= 1); patch overrides win.  Loops use ``values``."""
+    if not q.is_closed:
+        return values(q)(n)
+    n = _index(n)
+    if n in q.patch:
+        return q.patch[n]
+    return q.body.value_at(n)
 
 
 def as_node(q: Quantity) -> LazySeq:
-    """q's DAG node; a closed form is wrapped in a ``Leaf``, which reads its body's memos."""
-    return q.seq if q.seq is not None else Leaf(q)
+    """q's DAG node; a closed form becomes a "leaf"."""
+    return q.seq if q.seq is not None else LazySeq("leaf", (), q)
 
 
-def _pointwise(q1, q2, op, node) -> Quantity:
+def _stepper(body: ExpPoly) -> Callable[[int], tuple]:
+    # i -> body's ``_advance`` memo at i >= 1: the last one when it holds i,
+    # else the last one stepped when it holds i - 1, else a restart with pow.
+    memo = None
+
+    def at(i: int) -> tuple:
+        nonlocal memo
+        if memo is None or memo[0] != i:
+            memo = body._advance(i, memo)
+        return memo
+
+    return at
+
+
+def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
+    """n -> [(num, den) for each q]: the values at n >= 1 as unreduced pairs, den > 0.
+
+    The DAGs are walked once into slots keyed by (node, offset): a slot reads
+    its node at n - offset, and a read evaluates each slot once, operands
+    first, however often the DAGs share it.  A "delay" adds its m to the
+    offset and needs no slot: below index 1 every leaf, evaluator and
+    applied function reads (0, 1), and so do sums, products and negations.
+    The leaves of one closed form share a slot, and all leaves on one body
+    at one offset share an ``_advance`` memo, kept for the life of the
+    reader, so a body read at any number of offsets steps at each of them.
+    """
+    slots: dict = {}  # (node, offset), or (id(closed form), offset) for a leaf -> slot
+    steppers: dict = {}  # (id(body), offset) -> _stepper(body)
+    steps: list[Callable[[int], tuple[int, int]]] = []
+    vals: list[tuple[int, int]] = []
+
+    def compile(node: LazySeq, offset: int) -> int:
+        op, data = node.op, node.data
+        if op == "delay":
+            return compile(node.args[0], offset + data)
+        key = (id(data) if op == "leaf" else node, offset)
+        if key in slots:
+            return slots[key]
+        args = node.args  # no comprehension: one Python frame per nesting level
+        x = compile(args[0], offset) if args else None
+        y = compile(args[1], offset) if len(args) > 1 else None
+        if op == "leaf":
+            patch = data.patch
+            at = steppers.setdefault((id(data.body), offset), _stepper(data.body))
+
+            def step(n: int) -> tuple[int, int]:
+                v = patch.get(n - offset)
+                if v is not None:
+                    return v.numerator, v.denominator
+                if n <= offset:
+                    return 0, 1
+                # (S.numerator * I(i), S.denominator * i**K) in the terms of value_at, with no gcd.
+                i, scale, inner, _, (_, _, k, _) = at(n - offset)
+                return scale.numerator * inner, (scale.denominator * i**k if k else scale.denominator)
+
+        elif op in ("opaque", "apply"):
+            fn = data[0]
+
+            def step(n: int) -> tuple[int, int]:
+                if n <= offset:
+                    return 0, 1
+                v = _rat(fn(n - offset) if op == "opaque" else fn(Fraction(*vals[x]), n - offset))
+                return v.numerator, v.denominator
+
+        elif op == "neg":
+            step = lambda n: (-vals[x][0], vals[x][1])
+        elif op == "+":
+
+            def step(n: int) -> tuple[int, int]:
+                (a, b), (c, d) = vals[x], vals[y]
+                if b == d:  # operands over one body, or both integers
+                    return a + c, b
+                return a * d + c * b, b * d
+
+        else:  # "*"
+            step = lambda n: (vals[x][0] * vals[y][0], vals[x][1] * vals[y][1])
+        slots[key] = len(steps)
+        steps.append(step)
+        return slots[key]
+
+    outs = [compile(as_node(q), 0) for q in qs]
+
+    def read(n: int) -> list[tuple[int, int]]:
+        vals.clear()
+        for step in steps:
+            vals.append(step(n))
+        return [vals[i] for i in outs]
+
+    return read
+
+
+def values(q: Quantity) -> Callable[[int], Fraction]:
+    """n -> q's exact value at n >= 1 as a Fraction, for loops over indices.
+
+    A lazy q is read through one ``reader``.  A closed q steps its body as a
+    reader does but builds each value as ``ExpPoly.value_at`` does: reducing
+    the pair of a body over several bases pays a gcd of two large integers.
+    An evaluator's Fraction is reduced already and is returned as it is.
+    """
+    if q.is_closed:
+        at, patch = _stepper(q.body), q.patch
+        value = lambda n: patch[n] if n in patch else _value(at(n))
+    elif q.seq.op == "opaque":
+        value = lambda n: _rat(q.seq.data[0](n))
+    else:
+        read = reader(q)
+        value = lambda n: Fraction(*read(n)[0])
+    return lambda n: value(_index(n))
+
+
+def _index(n) -> int:
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("sequence indices start at 1")
+    return n
+
+
+def _pointwise(q1, q2, op, symbol: str) -> Quantity:
     q1, q2 = _coerce(q1), _coerce(q2)
-    if q1.is_closed and q2.is_closed:
-        support = set(q1.patch) | set(q2.patch)
-        patch = {i: op(eval_at(q1, i), eval_at(q2, i)) for i in support}
-        return Quantity.closed(op(q1.body, q2.body), patch)
-    return Quantity(None, {}, node(as_node(q1), as_node(q2)))
+    if not (q1.is_closed and q2.is_closed):
+        return Quantity(None, {}, LazySeq(symbol, (as_node(q1), as_node(q2))))
+    patch = {}
+    if q1.patch or q2.patch:  # evaluate at the overrides of either, stepping between them
+        v1, v2 = values(q1), values(q2)
+        patch = {i: op(v1(i), v2(i)) for i in sorted(q1.patch.keys() | q2.patch.keys())}
+    return Quantity.closed(op(q1.body, q2.body), patch)
 
 
 def add(q1, q2) -> Quantity:
     """Pointwise sum."""
-    return _pointwise(q1, q2, operator.add, Add)
+    return _pointwise(q1, q2, operator.add, "+")
 
 
 def neg(q) -> Quantity:
@@ -661,7 +658,7 @@ def neg(q) -> Quantity:
     q = _coerce(q)
     if q.is_closed:
         return Quantity.closed(-q.body, {i: -v for i, v in q.patch.items()})
-    return Quantity(None, {}, Neg(q.seq))
+    return Quantity(None, {}, LazySeq("neg", (q.seq,)))
 
 
 def sub(q1, q2) -> Quantity:
@@ -670,7 +667,7 @@ def sub(q1, q2) -> Quantity:
 
 def mul(q1, q2) -> Quantity:
     """Pointwise product."""
-    return _pointwise(q1, q2, operator.mul, Mul)
+    return _pointwise(q1, q2, operator.mul, "*")
 
 
 def pow_int(q, j: int) -> Quantity:
@@ -712,7 +709,7 @@ def delay(q, m: int) -> Quantity:
     if m == 0:
         return q
     if not q.is_closed:
-        return Quantity(None, {}, Shift(q.seq, m))
+        return Quantity(None, {}, LazySeq("delay", (q.seq,), m))
     # Re-expand each c*n^k*b^n at n-m into powers of n; needs k >= 0.
     out: dict[Key, Fraction] = {}
     for (base, power), c in q.body.items():

@@ -38,6 +38,7 @@ from seqring import (
     is_infinitely_small,
     mul,
     neg,
+    patch,
     pow_int,
     sub,
 )
@@ -264,13 +265,66 @@ def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
     assert steps.count(False) == 2  # one restart for each read of the first index
 
 
+def test_shared_nodes_are_evaluated_once_per_index(monkeypatch):
+    # x + x nested 12 times reads its leaf 4096 times per index as a tree; a
+    # reader evaluates each shared node, and so each leaf, once per index.
+    advances = []
+    advance = ExpPoly._advance
+
+    def counted(self, n, memo):
+        if self is N.body:
+            advances.append(n)
+        return advance(self, n, memo)
+
+    monkeypatch.setattr(ExpPoly, "_advance", counted)
+    calls = []
+
+    def reciprocal(n: int) -> F:
+        calls.append(n)
+        return F(1, n)
+
+    h = 100
+    for leaf, reads in ((N.as_lazy(), advances), (Quantity.lazy(reciprocal, "1/n"), calls)):
+        x = leaf
+        for _ in range(12):
+            x = add(x, x)
+        assert compare_lazy(x, add(x, 1), Comparison.LESS, h).status == "holds"
+        assert reads == list(range(first_checked_index(h), h + 1)), len(reads)
+
+
+def test_one_body_read_at_three_offsets_restarts_once_per_offset(monkeypatch):
+    # y - delay(y, 1) + delay(y, 2) reads one body at n, n - 1 and n - 2; each
+    # offset keeps its own memo, so the scan restarts three times and every
+    # other read steps.  A patched copy of the closed form is a different
+    # leaf on the same body, and at offset 1 it shares that offset's memo.
+    body = ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)})
+    steps = []  # per _advance call on body: whether it stepped from n - 1
+    advance = ExpPoly._advance
+
+    def counted(self, n, memo):
+        if self is body:
+            steps.append(memo is not None and memo[0] + 1 == n)
+        return advance(self, n, memo)
+
+    monkeypatch.setattr(ExpPoly, "_advance", counted)
+    x = Quantity.closed(body)
+    y = x.as_lazy()
+    three = add(sub(y, delay(y, 1)), delay(y, 2))
+    twin = delay(patch(x, {1: F(5)}).as_lazy(), 1)  # below 0 past index 2
+    h = 300
+    assert compare_lazy(three, add(three, twin), Comparison.GREATER, h).status == "holds"
+    assert len(steps) == 3 * (h - first_checked_index(h) + 1)
+    assert steps.count(False) == 3
+
+
 def test_delays_of_one_body_keep_at_most_two_memos():
-    # One body read at one index under 200 delays: two memos, not one per delay.
+    # One body read at one index under 200 delays; the body itself holds only
+    # its coefficients, so no read leaves a memo on it.
     x = Quantity.closed(ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(-1), 1): F(7)}))
     fx = mirror_closed(x)
     for m in range(1, 201):
         assert eval_at(delay(x.as_lazy(), m), 3000) == fx(3000 - m)
-        assert len(x.body._memos) <= 2
+    assert ExpPoly.__slots__ == ("_coeffs",)
 
 
 def test_lazy_descriptions_render_the_dag():

@@ -31,7 +31,9 @@ from seqring import (
     neg,
     patch,
     pow_int,
+    values,
 )
+from seqring.quantity import reader
 
 N = Quantity.closed(ExpPoly.single(1, 1, 1))
 P = Quantity.closed(ExpPoly({(F(1), 2): F(1, 2), (F(1), 1): F(1, 2)}))
@@ -124,6 +126,9 @@ def test_eval_rejects_index_zero():
     pytest.param(lambda i: delay(N.as_lazy(), i), 1.5, id="delay-lazy"),
     pytest.param(lambda i: delay(N, i), 1.5, id="delay"),
     pytest.param(lambda i: delay(N.as_lazy(), i), True, id="delay-bool"),
+    pytest.param(lambda i: ExpPoly({(F(1), 2): 1, (F(2), 0): F(3, 5)}).value_at(i), 2.5, id="expoly-value_at"),
+    pytest.param(lambda i: Term(1, 1, 2).value_at(i), 2.5, id="term-value_at"),
+    pytest.param(lambda i: values(N.as_lazy())(i), 2.5, id="values-lazy"),
 ])
 def test_integer_arguments_are_checked(call, arg):
     # A non-integer index or delay is a TypeError; a bool counts as its int.
@@ -134,8 +139,8 @@ def test_integer_arguments_are_checked(call, arg):
             call(arg)
 
 
-# value_at keeps memos at up to two indices; every access order must agree
-# with the textbook formula.
+# value_at reads with pow and readers step from index to index; every access
+# order must agree with the textbook formula.
 STEP_BASES = [F(1), F(-1), F(1, 2), F(-1, 2), F(3, 7), F(-3)]
 
 
@@ -160,13 +165,13 @@ def test_value_at_matches_naive_formula_in_every_access_order():
     rng = random.Random(41)
     for _ in range(60):
         e = _stepping_poly(rng)
-        carried = ExpPoly(dict(e.items()))  # keeps its memo from one order to the next
+        carried = values(Quantity.closed(e))  # keeps its memo from one order to the next
         for order, indices in _access_orders(rng).items():
             fresh = ExpPoly(dict(e.items()))
             for n in indices:
                 expected = naive_value(e, n)
                 assert fresh.value_at(n) == expected, (e, order, n)
-                assert carried.value_at(n) == expected, (e, order, n)
+                assert carried(n) == expected, (e, order, n)
     assert ExpPoly().value_at(7) == 0
 
 
@@ -183,13 +188,14 @@ def test_lazies_sharing_one_body_match_naive_formula():
 
 
 def test_value_at_memo_is_invisible():
+    # Pairs from one reader, in every access order, equal a fresh twin's value_at.
     e = ExpPoly({(F(3, 7), 1): F(2, 3), (F(-3), -1): F(5), (F(1, 2), 0): F(-1, 4)})
     twin = ExpPoly(dict(e.items()))
-    for n in (1, 2, 3, 50, 50, 4):
-        e.value_at(n)
-        assert F(*e.pair_at(n)) == twin.value_at(n)
-        if n > 3:
-            assert F(*e.pair_at(n - 3)) == twin.value_at(n - 3)
+    read = reader(Quantity.closed(e))
+    for order, indices in _access_orders(random.Random(43)).items():
+        for n in indices:
+            (pair,) = read(n)
+            assert F(*pair) == twin.value_at(n), (order, n)
     assert e == twin
     assert hash(e) == hash(twin)
     assert e.render() == twin.render()
