@@ -35,8 +35,6 @@ DEFAULT_HORIZON = 10_000
 DEFAULT_WINDOW = 50
 DEFAULT_TOL = Fraction(1, 10**6)
 
-EVEN, ODD = 0, 1
-
 # A parity restriction's dominant ((|base|, power), combined coefficient), or
 # None when the restriction vanishes identically.
 Lead = tuple[tuple[Fraction, int], Fraction] | None
@@ -96,17 +94,8 @@ def _leads(e: ExpPoly) -> tuple[Lead, Lead]:
 
     This table is the per-parity certificate behind every exact decision.
     """
-    groups: dict[tuple[Fraction, int], list[Fraction]] = {}
-    for (base, power), c in e.items():
-        slot = groups.setdefault((abs(base), power), [Fraction(0), Fraction(0)])
-        slot[EVEN] += c
-        slot[ODD] += c if base > 0 else -c
-    leads: list[Lead] = [None, None]
-    for key in sorted(groups, reverse=True):
-        for parity, c in enumerate(groups[key]):
-            if leads[parity] is None and c != 0:
-                leads[parity] = (key, c)
-    return leads[EVEN], leads[ODD]
+    even, odd = e.parity_groups()
+    return (even[0] if even else None), (odd[0] if odd else None)
 
 
 def _sign(x: Fraction) -> int:

@@ -49,6 +49,9 @@ Key = tuple[Fraction, int]
 # Finite index -> value overrides, invisible to Frechet equality and order.
 PrefixPatch = dict[int, Fraction]
 
+# One parity's group of terms: ((|base|, power), combined coefficient).
+Group = tuple[tuple[Fraction, int], Fraction]
+
 
 # The modulus of patch fingerprints (``Quantity.closed``): the Mersenne prime 2**61 - 1.
 _P = (1 << 61) - 1
@@ -212,24 +215,86 @@ class ExpPoly:
 
         return residue_at
 
-    def zeros(self, hi: int) -> set[int]:
-        """The indices 1..hi where the value is 0.
+    def parity_groups(self) -> tuple[list[Group], list[Group]]:
+        """Per parity of n (even, odd): the nonzero groups ((|base|, power), coefficient), largest first.
 
-        S(n) in ``value_at`` is never 0, so the value is 0 exactly where the
-        integer I(n) is.  Each term of I(n) steps a_i * r_i**n by one
-        multiplication by the small r_i per index, and no Fraction is built.
-        A single term c * n**k * b**n never vanishes.
+        On even n a term c * n**k * b**n is c * n**k * |b|**n, and on odd n it
+        is sign(b) * c * n**k * |b|**n, so the terms of one (|base|, power)
+        group add up to one coefficient per parity.  In (|base| desc, power
+        desc) order the first group of a parity dominates it: ``order`` reads
+        its sign, and ``zeros`` bounds the other groups against it.
         """
-        if not self._coeffs:
-            return set(range(1, hi + 1))
-        if len(self._coeffs) == 1:
-            return set()
-        ns = range(1, hi + 1)
-        columns = []  # per term: a_i * r_i**n * n**k_i for n in ns
+        # Keyed and sorted on integers: a Fraction key would be hashed and compared slowly.
+        groups: dict[tuple[int, int, int], list] = {}  # (|num|, den, power) -> [|base|, even, odd]
+        for (base, power), c in self._coeffs.items():
+            num = base.numerator
+            key = (abs(num), base.denominator, power)
+            slot = groups.get(key)
+            if slot is None:
+                groups[key] = [base if num > 0 else -base, c, c if num > 0 else -c]
+            else:
+                slot[1] += c
+                slot[2] += c if num > 0 else -c
+        d = lcm(*(den for _, den, _ in groups))
+        keys = sorted(groups, key=lambda k: (k[0] * (d // k[1]), k[2]), reverse=True)
+        return tuple(
+            [((groups[k][0], k[2]), groups[k][p]) for k in keys if groups[k][p]] for p in (1, 2)
+        )
+
+    def reflect(self, m: int) -> "ExpPoly":
+        """The form t -> self(m - t): the sequence read backwards from index m.
+
+        A term c * n**k * b**n at n = m - t is c * b**m * (m - t)**k * (1/b)**t,
+        so the powers must be nonnegative.  At m = 0 that is
+        c * (-1)**k * t**k * (1/b)**t, the term relabelled with no expansion.
+        """
+        if any(power < 0 for _, power in self._coeffs):
+            raise ValueError("cannot reflect a term with a negative power")
+        inverse = lambda b: Fraction(b.denominator, b.numerator)
+        if m == 0:
+            return ExpPoly._trusted(
+                {(inverse(b), k): -c if k % 2 else c for (b, k), c in self._coeffs.items()}
+            )
+        out: dict[Key, Fraction] = {}
+        for (base, power), c in self._coeffs.items():
+            scaled = c * base**m
+            for j in range(power + 1):  # (m - t)**k = sum C(k, j) * m**(k - j) * (-t)**j
+                key = (inverse(base), j)
+                term = scaled * comb(power, j) * m ** (power - j)
+                out[key] = out.get(key, Fraction(0)) + (-term if j % 2 else term)
+        return ExpPoly(out)
+
+    def zeros(self, hi: int) -> set[int]:
+        """The t in 0..hi - 1 where the value is 0; the powers must be nonnegative.
+
+        On each parity of t (``parity_groups``), a parity with no nonzero
+        group is 0 at every t of it, and those t are added with no evaluation.
+        Otherwise the first group outweighs the sum of the others from some T
+        on (``_tail_start``), so the value has no zero there, and T does not
+        depend on hi.  Only t < min(T, hi) are evaluated exactly: S(t) in
+        ``value_at`` is never 0, so the value is 0 where the integer I(t) is,
+        and each term of I(t) steps a_i * r_i**t by one multiplication per t.
+        """
+        holes: set[int] = set()
+        window = 0
+        for parity, groups in enumerate(self.parity_groups()):
+            if groups:
+                window = max(window, _tail_start(groups, hi))
+            else:
+                holes.update(range(parity, hi, 2))
+        window = min(window, hi)
+        if window:
+            holes.update(self._zeros_below(window))
+        return holes
+
+    def _zeros_below(self, window: int) -> list[int]:
+        # The t in 0..window - 1 where I(t) = 0: the exact scan of ``zeros``.
+        ts = range(window)
+        columns = []  # per term: a_i * r_i**t * t**k_i for t in ts
         for a, r, k in self._plan()[3]:
-            column = accumulate(repeat(r, hi - 1), operator.mul, initial=a * r)
-            columns.append(map(operator.mul, column, map(pow, ns, repeat(k))) if k else column)
-        return set(compress(ns, map(operator.not_, map(sum, zip(*columns)))))
+            column = accumulate(repeat(r, window - 1), operator.mul, initial=a)
+            columns.append(map(operator.mul, column, map(pow, ts, repeat(k))) if k else column)
+        return list(compress(ts, map(operator.not_, map(sum, zip(*columns)))))
 
     def _plan(self) -> tuple[Fraction, Fraction | None, int, tuple[tuple[int, int, int], ...]]:
         # (g/D, G/Q or None when it is 1, K, ((a_i, r_i, k_i + K) per term)): see value_at.
@@ -327,6 +392,48 @@ def _value(memo: tuple) -> Fraction:
     return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
 
 
+def _tail_start(groups: list[Group], cap: int) -> int:
+    """The least T in 1..cap from which the first of one parity's groups outweighs the rest, else cap.
+
+    ``groups`` are one parity's ((|base|, power), coefficient), largest first.
+    With the first group (B0, k0, C0), each other group j gives the ratio
+    rho_j(t) = |Cj / C0| * t**(kj - k0) * (Bj / B0)**t.  T is the least
+    t >= 1 at which every rho_j steps down, rho_j(t + 1) <= rho_j(t), and
+    their sum is below 1.  The step ((t + 1) / t)**(kj - k0) * Bj / B0 falls
+    with t, so both still hold at every t past T, where the value is
+    C0 * t**k0 * B0**t times (1 + a sum of magnitude below 1): not 0.
+    The search doubles t, then bisects, on exact integers.
+    """
+    (b0, k0), _ = groups[0]
+    nums, _ = _over_lcm(c for _, c in groups)  # Cj = aj / D
+    a0, p0, q0 = abs(nums[0]), b0.numerator, b0.denominator
+    shift = max(k0 - k for (_, k), _ in groups)  # t**shift clears the negative powers of t
+    by_ratio: dict[tuple[int, int], list[tuple[int, int]]] = {}  # Bj / B0 -> [(kj - k0 + shift, |aj|)]
+    for ((b, k), _), a in zip(groups[1:], nums[1:]):
+        by_ratio.setdefault((b.numerator * q0, b.denominator * p0), []).append((k - k0 + shift, abs(a)))
+    rising = [(k - k0, b.numerator * q0, b.denominator * p0) for (b, k), _ in groups[1:] if k > k0]
+
+    def settled(t: int) -> bool:
+        if any((t + 1) ** d * p > t**d * q for d, p, q in rising):  # there Bj / B0 = p / q < 1
+            return False
+        # a0 * t**shift times sum rho_j(t) < 1: sum over ratios p / q of (p / q)**t * sum |aj| * t**e.
+        num, den = 0, 1
+        for (p, q), parts in by_ratio.items():
+            s, qt = sum(a * t**e for e, a in parts), q**t
+            num, den = num * qt + s * p**t * den, den * qt
+        return num < a0 * t**shift * den
+
+    lo, hi = 0, 1
+    while not settled(hi):
+        if hi >= cap:
+            return cap
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if settled(mid) else (mid, hi)
+    return hi
+
+
 def _over_lcm(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     # ([a, ...], D): each x = a / D over the lcm D of the denominators.
     xs = list(xs)
@@ -363,18 +470,46 @@ class LazySeq:
 
     @property
     def description(self) -> str:
-        op, args, data = self.op, self.args, self.data
+        texts: dict[LazySeq, str] = {}
+        for node in _post_order(self, operator.attrgetter("args"), lambda node: node, texts):
+            texts[node] = node._describe([texts[a] for a in node.args])
+        return texts[self]
+
+    def _describe(self, parts: list[str]) -> str:
+        # This node's text around its operands' texts ``parts``.
+        op, data = self.op, self.data
         if op == "leaf":
             return data.body.render()
         if op == "opaque":
             return data[1]
         if op == "apply":
-            return f"{data[1]}({args[0].description})"
+            return f"{data[1]}({parts[0]})"
         if op == "neg":
-            return f"-({args[0].description})"
+            return f"-({parts[0]})"
         if op == "delay":
-            return f"delay({args[0].description}, {data})"
-        return f"({args[0].description} {op} {args[1].description})"
+            return f"delay({parts[0]}, {data})"
+        return f"({parts[0]} {op} {parts[1]})"
+
+
+def _post_order(root, operands: Callable, key: Callable, done) -> Iterable:
+    """The items of root's DAG, operands first, skipping those whose key is in ``done``.
+
+    The caller enters each yielded item's key in ``done`` before it asks for
+    the next, so each key is yielded once.  The walk keeps an explicit
+    stack, so the nesting depth meets no recursion limit.
+    """
+    stack = [root]
+    while stack:
+        item = stack[-1]
+        if key(item) in done:
+            stack.pop()
+            continue
+        pending = [o for o in operands(item) if key(o) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+        else:
+            stack.pop()
+            yield item
 
 
 class Quantity:
@@ -414,16 +549,28 @@ class Quantity:
         return cls(body, cleaned, None)
 
     @classmethod
-    def zero_prefixed(cls, body: ExpPoly, m: int, tail: PrefixPatch | None = None) -> "Quantity":
+    def zero_prefixed(
+        cls,
+        body: ExpPoly,
+        m: int,
+        tail: PrefixPatch | None = None,
+        reflected: ExpPoly | None = None,
+    ) -> "Quantity":
         """``body`` with value 0 at indices 1..m and the overrides ``tail`` past m.
 
-        The prefix skips the indices where the body is already 0, which keeps
-        the patch as minimal as ``closed`` would; ``tail`` must be minimal
-        already.  All prefix entries share one ``Fraction(0)``.
+        The prefix skips the holes, the indices where the body is already 0,
+        which keeps the patch as minimal as ``closed`` would; ``tail`` must be
+        minimal already.  n is a hole exactly when t = m - n is a zero of
+        ``reflected``, the body read backwards from m (``body.reflect(m)``
+        unless the caller has it more cheaply), and ``ExpPoly.zeros`` finds
+        those from a tail bound without evaluating every index.  All prefix
+        entries share one ``Fraction(0)``.
         """
+        if reflected is None:
+            reflected = body.reflect(m)
         prefix: PrefixPatch = dict.fromkeys(range(1, m + 1), Fraction(0))
-        for i in body.zeros(m):
-            del prefix[i]
+        for t in reflected.zeros(m):
+            del prefix[m - t]
         if tail:
             prefix.update(tail)
         return cls(body, prefix, None)
@@ -537,11 +684,12 @@ def _stepper(body: ExpPoly) -> Callable[[int], tuple]:
 def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
     """n -> [(num, den) for each q]: the values at n >= 1 as unreduced pairs, den > 0.
 
-    The DAGs are walked once into slots keyed by (node, offset): a slot reads
-    its node at n - offset, and a read evaluates each slot once, operands
-    first, however often the DAGs share it.  A "delay" adds its m to the
-    offset and needs no slot: below index 1 every leaf, evaluator and
-    applied function reads (0, 1), and so do sums, products and negations.
+    The DAGs are walked once, with an explicit stack (``_post_order``), into
+    slots keyed by (node, offset): a slot reads its node at n - offset, and a
+    read evaluates each slot once, operands first, however often the DAGs
+    share it.  A "delay" adds its m to the offset and needs no slot: below
+    index 1 every leaf, evaluator and applied function reads (0, 1), and so
+    do sums, products and negations.
     The leaves of one closed form share a slot, and all leaves on one body
     at one offset share an ``_advance`` memo, kept for the life of the
     reader, so a body read at any number of offsets steps at each of them.
@@ -551,16 +699,19 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
     steps: list[Callable[[int], tuple[int, int]]] = []
     vals: list[tuple[int, int]] = []
 
-    def compile(node: LazySeq, offset: int) -> int:
+    def resolve(node: LazySeq, offset: int) -> tuple:
+        # (node, offset, slot key) past any "delay", which adds its m to the offset.
+        while node.op == "delay":
+            node, offset = node.args[0], offset + node.data
+        return node, offset, (id(node.data) if node.op == "leaf" else node, offset)
+
+    def operands(item: tuple) -> list[tuple]:
+        node, offset, _ = item
+        return [resolve(a, offset) for a in node.args]
+
+    def make_step(node: LazySeq, offset: int, x: int | None, y: int | None) -> Callable:
+        # The step of node read at n - offset, over the slots x and y of its operands.
         op, data = node.op, node.data
-        if op == "delay":
-            return compile(node.args[0], offset + data)
-        key = (id(data) if op == "leaf" else node, offset)
-        if key in slots:
-            return slots[key]
-        args = node.args  # no comprehension: one Python frame per nesting level
-        x = compile(args[0], offset) if args else None
-        y = compile(args[1], offset) if len(args) > 1 else None
         if op == "leaf":
             patch = data.patch
             at = steppers.setdefault((id(data.body), offset), _stepper(data.body))
@@ -596,11 +747,16 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
 
         else:  # "*"
             step = lambda n: (vals[x][0] * vals[y][0], vals[x][1] * vals[y][1])
-        slots[key] = len(steps)
-        steps.append(step)
-        return slots[key]
+        return step
 
-    outs = [compile(as_node(q), 0) for q in qs]
+    outs = []
+    for q in qs:
+        root = resolve(as_node(q), 0)
+        for item in _post_order(root, operands, operator.itemgetter(2), slots):
+            x, y = (*[slots[key] for _, _, key in operands(item)], None, None)[:2]
+            slots[item[2]] = len(steps)
+            steps.append(make_step(item[0], item[1], x, y))
+        outs.append(slots[root[2]])
 
     def read(n: int) -> list[tuple[int, int]]:
         vals.clear()
@@ -701,7 +857,14 @@ def _reciprocal(q: Quantity) -> Quantity:
 
 
 def delay(q, m: int) -> Quantity:
-    """Prefix with m zeros: value 0 for n <= m, the original value at n - m after."""
+    """Prefix with m zeros: value 0 for n <= m, the original value at n - m after.
+
+    A closed q keeps its closed form, re-expanded at n - m.  Its prefix holes,
+    the n <= m where that body is already 0, are the zeros t = m - n of
+    q(-t): q's own terms relabelled (``ExpPoly.reflect(0)``), which do not
+    depend on m, so finding them evaluates a window whose size does not
+    grow with m.
+    """
     q = _coerce(q)
     m = operator.index(m)
     if m < 0:
@@ -724,7 +887,9 @@ def delay(q, m: int) -> Quantity:
                 power - j
             )
     # body(i + m) = q.body(i), so the shifted overrides stay minimal.
-    return Quantity.zero_prefixed(ExpPoly(out), m, {i + m: v for i, v in q.patch.items()})
+    return Quantity.zero_prefixed(
+        ExpPoly(out), m, {i + m: v for i, v in q.patch.items()}, q.body.reflect(0)
+    )
 
 
 def patch(q, overrides: Mapping[int, object]) -> Quantity:

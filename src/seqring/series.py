@@ -93,7 +93,16 @@ class Series:
 
 
 def partial_sums(s: Series) -> Quantity:
-    """The quantity of partial sums: value at n is sum(term(k), k=start..n), 0 below start."""
+    """The quantity of partial sums: value at n is sum(term(k), k=start..n), 0 below start.
+
+    From start = m + 1 > 1 the body is S(n) - S(m), with S the closed form
+    from k = 1.  Its prefix holes, the n <= m where S(n) = S(m), are found on
+    the body reflected at m (``Quantity.zero_prefixed``).  When every base
+    of the term has |b| > 1, the reflected body is led by its constant, and
+    only a window of t = m - n near 0 is evaluated.  Otherwise the window can
+    reach the whole prefix: a polynomial term's reflection can vanish
+    anywhere in it.
+    """
     total = ExpPoly.zero()
     for (base, power), coeff in s.term.items():
         if power < 0:

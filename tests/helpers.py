@@ -5,7 +5,7 @@ evaluated term by term from the textbook formula (never ``ExpPoly.value_at``),
 lazy operations are mirrored by plain ``Fraction`` closures (never the DAG
 evaluator), sums are brute-force loops over those values, comparisons are
 pointwise big-integer evaluation, and sqrt(2) digits come from integer square
-roots.
+roots, stepped one digit at a time.
 """
 
 from __future__ import annotations
@@ -132,14 +132,36 @@ def oracle_probe_k(horizon: int) -> int:
 
 # Bodies that vanish at some index below 1 once read at n - m, so that a zero
 # prefix built over them meets indices where the body is already 0:
-# N + 3, N^2 - 9, 2^n - (1/2)^n, 1 + (-1)^n and N^3 - N^2*(-1)^n - 3N + 3*(-1)^n.
+# N + 3, N^2 - 9, 2^n - (1/2)^n, 1 + (-1)^n and N^3 - N^2*(-1)^n - 3N + 3*(-1)^n
+# vanish near 0; N + 500 at -500 (a hole at n = m - 500), (1/2)^n - 2^40*2^n
+# at -20 (n = m - 20), N + N*(-1)^n at 0 and every odd negative index, and N
+# at 0 (n = m).
 VANISHING_BODIES = [
     ExpPoly({(F(1), 1): F(1), (F(1), 0): F(3)}),
     ExpPoly({(F(1), 2): F(1), (F(1), 0): F(-9)}),
     ExpPoly({(F(2), 0): F(1), (F(1, 2), 0): F(-1)}),
     ExpPoly({(F(1), 0): F(1), (F(-1), 0): F(1)}),
     ExpPoly({(F(1), 3): F(1), (F(-1), 2): F(-1), (F(1), 1): F(-3), (F(-1), 0): F(3)}),
+    ExpPoly({(F(1), 1): F(1), (F(1), 0): F(500)}),
+    ExpPoly({(F(1, 2), 0): F(1), (F(2), 0): F(-(2**40))}),
+    ExpPoly({(F(1), 1): F(1), (F(-1), 1): F(1)}),
+    ExpPoly({(F(1), 1): F(1)}),
 ]
+
+
+def delay_holes(body: ExpPoly, m: int) -> set:
+    """The n in 1..m where ``body`` read at n - m is 0, by ``naive_value``."""
+    return {n for n in range(1, m + 1) if naive_value(body, n - m) == 0}
+
+
+def series_holes(term: ExpPoly, m: int) -> set:
+    """The n in 1..m where sum(term(k), k = n + 1..m) is 0, added up by ``naive_value``."""
+    holes, tail = set(), F(0)
+    for n in range(m, 0, -1):
+        if tail == 0:
+            holes.add(n)
+        tail += naive_value(term, n)
+    return holes
 
 
 def check_zero_prefix(q: Quantity, m: int, expected) -> None:
@@ -185,13 +207,38 @@ def lex_poly_compare(p1: ExpPoly, p2: ExpPoly) -> str:
     return "equal"
 
 
-def sqrt2_truncation(n: int) -> F:
-    """First n decimal digits of sqrt(2), as an exact rational (truncated, not rounded)."""
-    return F(isqrt(2 * 10 ** (2 * n)), 10**n)
+def sqrt2_truncations():
+    """A fresh n -> first n decimal digits of sqrt(2), as an exact rational (truncated, not rounded).
+
+    That is a_n / 10**n with a_n = isqrt(2 * 10**(2n)).  With the remainder
+    r_n = 2 * 10**(2n) - a_n**2, the next digit is the largest d <= 9 with
+    d * (20 * a_n + d) <= 100 * r_n, and a_(n+1) = 10 * a_n + d.  Each
+    evaluator keeps its last (n, a_n, r_n), so consecutive n step by one
+    digit and pay no isqrt; any other n restarts from isqrt.  The value
+    depends on n alone.
+    """
+    last = [0, 1, 1]
+
+    def truncation(n: int) -> F:
+        m, a, r = last
+        if n == m + 1:
+            c, a20 = 100 * r, 20 * a
+            d = min(9, c // a20)
+            while d * (a20 + d) > c:
+                d -= 1
+            a, r = 10 * a + d, c - d * (a20 + d)
+        elif n != m:
+            square = 2 * 10 ** (2 * n)
+            a = isqrt(square)
+            r = square - a * a
+        last[:] = n, a, r
+        return F(a, 10**n)
+
+    return truncation
 
 
 def lazy_sqrt2() -> Quantity:
-    return Quantity.lazy(sqrt2_truncation, "sqrt2 decimal truncations")
+    return Quantity.lazy(sqrt2_truncations(), "sqrt2 decimal truncations")
 
 
 # Continued-fraction convergent of sqrt(2); |sqrt(2) - p/q| < 1/q^2 ~ 4.5e-12.

@@ -21,6 +21,7 @@ with names of letters, decimal digits and ``_`` only; before, ``N²`` and
 """
 
 import dataclasses
+import hashlib
 
 from seqring import cli
 from seqring.cli import Config, format_json, format_text, parse, run_statement
@@ -328,6 +329,26 @@ def test_golden_corpus_json():
         result, got = run_statement(text, env, config)
         assert (got, format_json(result, config)) == (code, expected), text
         assert format_text(result) == TEXT[text], text
+
+
+# sha256 of the JSON line of statements whose prefix holds thousands of
+# entries, captured from the implementation that evaluated the body at every
+# prefix index to find where it was already 0.
+CAP_SCALE_DIGESTS = {
+    "delay(N^3*2^n + N, 14000)": "acc53d8b5f0f0a827d5ceedbc4ae14decba3bf6750db94c5d3de73848d1d8bfc",
+    "delay(N^3 + N^2*(-1)^n + N + 5*(-1)^n, 100000)":
+        "384cccc042be1fd37476ecb01817895458e169c28d6fafea783f5662a900e826",
+    "series(k^16*2^k) from 13000": "0c8714a96c56ac27ab2809acd458fdfbe55e27c639e7ee17e34a01c3ad2f8a82",
+    "delay(N*(3/2)^n + (2/3)^n, 7000)": "a38db8c4cfa2b4f75b804715f5a6f5351b81f98e5e4a6aea802732d2d16d702c",
+}
+
+
+def test_cap_scale_statements_keep_their_digests():
+    config = Config()
+    for text, digest in CAP_SCALE_DIGESTS.items():
+        result, code = run_statement(text, {}, config)
+        assert code == 0, text
+        assert hashlib.sha256(format_json(result, config).encode()).hexdigest() == digest, text
 
 
 def test_golden_corpus_covers_the_language():

@@ -352,3 +352,16 @@ def test_lazy_descriptions_render_the_dag():
     for q, text in cases:
         assert q.render() == text
         assert q.description == text[len("lazy("):-1]
+
+
+def test_a_dag_5000_deep_scans_and_renders():
+    # Both walks of the DAG, the reader's compile and the description, keep
+    # an explicit stack, so the nesting depth meets no recursion limit.
+    x = Quantity.lazy(lambda n: F(n), "n")
+    for _ in range(5000):
+        x = mul(x, Quantity.lazy(lambda n: F(1), "one"))
+    twin = Quantity.lazy(lambda n: F(n), "n")
+    assert compare_lazy(x, twin, Comparison.EQUAL, 30) == compare_lazy(twin, twin, Comparison.EQUAL, 30)
+    assert compare_lazy(x, add(twin, 1), Comparison.LESS, 30).status == "holds"
+    assert eval_at(delay(x, 3), 10) == 7
+    assert x.render() == "lazy(" + "(" * 5000 + "n" + " * one)" * 5000 + ")"

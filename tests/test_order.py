@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from helpers import (
@@ -10,6 +11,7 @@ from helpers import (
     random_patch,
     random_poly,
     random_quantity,
+    sqrt2_truncations,
 )
 
 from seqring import (
@@ -120,6 +122,14 @@ def test_sqrt2_truncation_certificate():
     for n in (1, 2, 5, 10, 50, 200):
         s = eval_at(q, n)
         assert s * s <= 2 < (s + F(1, 10**n)) ** 2
+
+
+def test_sqrt2_truncation_steps_match_isqrt():
+    # The oracle's digit step against a fresh isqrt, read in ascending,
+    # repeated, jumping and descending order.
+    truncation = sqrt2_truncations()
+    for n in [*range(1, 60), 59, 59, 60, 1000, 1001, 1002, 7, 6, 3000, 3001, 3002]:
+        assert truncation(n) == F(isqrt(2 * 10 ** (2 * n)), 10**n), n
 
 
 def test_compare_lazy_sqrt2_below_three_halves():

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     VANISHING_BODIES,
     check_zero_prefix,
+    delay_holes,
     naive_eval,
     naive_product,
     naive_value,
@@ -341,14 +342,72 @@ def test_delay_negative_power_lowers_via_lazy():
     assert eval_at(q, 5) == F(1, 3)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 40])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 19, 20, 21, 40, 499, 501, 2000])
 def test_delay_prefix_skips_indices_where_the_body_vanishes(m):
     for body in VANISHING_BODIES:
         q = Quantity.closed(body)
         d = delay(q, m)
         check_zero_prefix(d, m, lambda n: naive_eval(q, n - m))
-        if m >= 4:  # each body is 0 at some index 1..m once delayed this far
-            assert len(d.patch) < m
+        holes = delay_holes(body, m)
+        assert d.patch.keys() == set(range(1, m + 1)) - holes
+        if m >= 4 and body in VANISHING_BODIES[:5]:  # each is 0 at some index 1..m delayed this far
+            assert holes
+
+
+def test_delay_finds_holes_deep_in_the_prefix_and_at_its_end():
+    shifted, deep, half_zero, bare = (Quantity.closed(b) for b in VANISHING_BODIES[5:])
+    holes = lambda q, m: set(range(1, m + 1)) - delay(q, m).patch.keys()
+    assert holes(shifted, 499) == set()
+    assert holes(shifted, 501) == {1}
+    assert holes(shifted, 2000) == {1500}
+    assert holes(deep, 20) == set()
+    assert holes(deep, 21) == {1}
+    assert holes(deep, 2000) == {1980}
+    assert holes(half_zero, 2000) == set(range(1, 2000, 2)) | {2000}
+    assert holes(half_zero, 21) == set(range(2, 21, 2)) | {21}
+    assert holes(bare, 2000) == {2000}
+
+
+def test_delay_hole_scan_does_not_grow_with_m(monkeypatch):
+    windows = []  # the number of indices each exact scan evaluates
+    zeros_below = ExpPoly._zeros_below
+
+    def counted(self, window):
+        windows.append(window)
+        return zeros_below(self, window)
+
+    monkeypatch.setattr(ExpPoly, "_zeros_below", counted)
+    q = Quantity.closed(ExpPoly({(F(1), 3): 1, (F(-1), 2): 1, (F(1), 1): 1, (F(-1), 0): 5}))
+    counts = []
+    for m in (10**3, 10**5):
+        windows.clear()
+        d = delay(q, m)
+        counts.append(sum(windows))
+        assert len(d.patch) == m  # q(n - m) = (n - m)^3 + ... has no zero at n <= m
+        assert eval_at(d, m + 2) == eval_at(q, 2)
+    assert counts[0] == counts[1] < 10
+
+
+def test_reflect_reads_the_form_backwards():
+    rng = random.Random(41)
+    for _ in range(40):
+        e = random_poly(rng, max_terms=4, pow_lo=0)
+        for m in (0, 1, 7):
+            r = e.reflect(m)
+            for t in range(12):
+                assert naive_value(r, t) == naive_value(e, m - t), (e, m, t)
+    with pytest.raises(ValueError):
+        ExpPoly.single(1, -1, 2).reflect(0)
+
+
+def test_zeros_match_a_full_scan():
+    rng = random.Random(42)
+    for _ in range(80):
+        e = random_poly(rng, max_terms=4, pow_lo=0)
+        t0 = rng.randint(0, 30)
+        hole = e - ExpPoly.constant(naive_value(e, t0))  # 0 at t0
+        for f in (e, hole, ExpPoly()):
+            assert f.zeros(40) == {t for t in range(40) if naive_value(f, t) == 0}, f
 
 
 def test_delay_prefix_of_one_term_and_patched_bodies():

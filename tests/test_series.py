@@ -10,6 +10,7 @@ from helpers import (
     check_zero_prefix,
     naive_value,
     random_poly,
+    series_holes,
 )
 
 from seqring import (
@@ -183,6 +184,15 @@ def test_series_prefix_skips_indices_where_the_body_vanishes(start):
         assert start - 1 not in q.patch
     q = omit_first(Series(alternating, 3), 5)
     check_zero_prefix(q, 5, lambda n: brute_partial_sum(alternating, n, 6))
+
+
+@pytest.mark.parametrize("m", [1, 19, 20, 21, 499, 501, 2000])
+def test_series_from_far_starts_finds_every_hole(m):
+    alternating = ExpPoly.single(1, 0, -1)
+    for term in VANISHING_BODIES + [alternating]:
+        q = partial_sums(Series(term, m + 1))
+        check_zero_prefix(q, m, lambda n: brute_partial_sum(term, n, m + 1))
+        assert q.patch.keys() == set(range(1, m + 1)) - series_holes(term, m)
 
 
 def test_omit_first_of_ones():
