@@ -89,22 +89,13 @@ class Classification:
     standard_part: Fraction | None = None
 
 
-def _leads(e: ExpPoly) -> tuple[Lead, Lead]:
-    """Dominant group and combined coefficient per parity (even, odd); None where it vanishes.
-
-    This table is the per-parity certificate behind every exact decision.
-    """
-    even, odd = e.parity_groups()
-    return (even[0] if even else None), (odd[0] if odd else None)
-
-
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
 def eventual_sign(e: ExpPoly) -> ParitySign:
     """Eventual sign of the sequence on each parity class."""
-    even, odd = (0 if lead is None else _sign(lead[1]) for lead in _leads(e))
+    even, odd = (0 if lead is None else _sign(lead[1]) for lead in e.leads())
     return ParitySign(even, odd)
 
 
@@ -227,7 +218,7 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     the exemption window for each probed k.
     """
     if q.is_closed:
-        return _great_sign(_leads(q.body))
+        return _great_sign(q.body.leads())
     check_horizon(horizon)
     bound, read = _probe_k(horizon), reader(q)
     direction = _sign(read(horizon)[0][0])
@@ -255,7 +246,7 @@ def infinitely_greater(q1: Quantity, q2: Quantity) -> bool:
     """
     if not (q1.is_closed and q2.is_closed):
         raise LazyInput("infinitely_greater needs closed forms")
-    for l1, l2, ld in zip(_leads(q1.body), _leads(q2.body), _leads(q1.body - q2.body)):
+    for l1, l2, ld in zip(q1.body.leads(), q2.body.leads(), (q1.body - q2.body).leads()):
         if l2 is None:
             ok = l1 is not None and l1[1] > 0
         elif l2[1] < 0:
@@ -290,7 +281,7 @@ def classify(q: Quantity) -> Classification:
         return Classification("infinitesimal")
     if all(_term_vanishes(base, power) or (base, power) == (1, 0) for (base, power), _ in items):
         return Classification("finite", q.body.coeff(1, 0))
-    g = _great_sign(_leads(q.body))
+    g = _great_sign(q.body.leads())
     if g > 0:
         return Classification("inf+")
     if g < 0:

@@ -21,6 +21,11 @@ pair (num, den) with den > 0, so no intermediate value pays a gcd; each
 closed form in it steps from one index to the next.  ``values`` turns the
 pairs into Fractions, and the lazy scans in ``order`` compare them by sign.
 
+``ExpPoly`` keeps a closed form on integers: each base as a reduced
+(num, den) pair and each coefficient as an integer numerator over one
+common denominator, so its arithmetic, order, hashing and text work on
+integers.  Fractions are only what its public methods take and give.
+
 All values are immutable after construction; lazy evaluators must be pure.
 """
 
@@ -43,24 +48,29 @@ from .errors import (
 
 Rational = Fraction
 
-# An ExpPoly key: (base, power).  Terms are kept in a dict under these keys.
-Key = tuple[Fraction, int]
+# An ExpPoly key: (num, den, power) for the shape n**power * (num/den)**n, the
+# base num/den reduced with den > 0.  A key maps to the integer numerator of
+# its coefficient over the polynomial's one common denominator.
+Key = tuple[int, int, int]
 
 # Finite index -> value overrides, invisible to Frechet equality and order.
 PrefixPatch = dict[int, Fraction]
 
-# One parity's group of terms: ((|base|, power), combined coefficient).
+# One parity's group of terms, as ``ExpPoly.leads`` gives it: ((|base|, power),
+# combined coefficient).  Inside ``ExpPoly`` a group is the integer tuple
+# (|num|, den, power, a): coefficient a over the common denominator.
 Group = tuple[tuple[Fraction, int], Fraction]
+IntGroup = tuple[int, int, int, int]
 
 
 # The modulus of patch fingerprints (``Quantity.closed``): the Mersenne prime 2**61 - 1.
 _P = (1 << 61) - 1
 
 
-def _residue(x: Fraction) -> int | None:
-    # x mod _P, or None when _P divides x's denominator.
-    d = x.denominator % _P
-    return x.numerator * pow(d, -1, _P) % _P if d else None
+def _residue(num: int, den: int) -> int | None:
+    # num / den mod _P, or None when _P divides den.
+    den %= _P
+    return num * pow(den, -1, _P) % _P if den else None
 
 
 def _rat(x) -> Fraction:
@@ -92,33 +102,27 @@ class Term:
         return self.coeff * Fraction(n) ** self.power * self.base**n
 
 
-def _canonical_order(key: Key):
-    # |base| desc, power desc, base desc: the stable rendering/decision order.
-    base, power = key
-    return (abs(base), power, base)
-
-
 class ExpPoly:
     """Canonical exponential polynomial: distinct (base, power) keys, no zero coefficients.
 
     The empty polynomial denotes the zero sequence.  Canonical forms are a
     complete invariant: two closed forms agree at all but finitely many
     indices if and only if their canonical forms are identical.
+
+    The terms are kept on integers.  ``_coeffs`` maps each ``Key``
+    (num, den, power) to a nonzero integer a, and ``_den`` is one common
+    denominator D > 0, so the term is (a / D) * n**power * (num/den)**n.  D
+    is kept reduced, gcd(D, every a) = 1, which makes it the lcm of the
+    coefficients' denominators: equal forms store equal integers, and
+    ``__eq__`` and ``__hash__`` read them as they are.  ``Fraction`` is only
+    the boundary: the constructor, ``coeff``, ``items``, ``terms``,
+    ``value_at`` and ``leads`` take or give Fractions.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_den")
 
-    def __init__(self, coeffs: Mapping[Key, Fraction] | None = None):
-        cleaned: dict[Key, Fraction] = {}
-        if coeffs:
-            for (base, power), c in coeffs.items():
-                base = _rat(base)
-                c = _rat(c)
-                if base == 0:
-                    raise InvalidTerm("term base must be nonzero")
-                if c != 0:
-                    cleaned[(base, int(power))] = c
-        self._coeffs = cleaned
+    def __init__(self, coeffs: Mapping[tuple[object, int], object] | None = None):
+        self._coeffs, self._den = _integer_terms(coeffs.items() if coeffs else ())
 
     @classmethod
     def zero(cls) -> "ExpPoly":
@@ -127,22 +131,37 @@ class ExpPoly:
     @classmethod
     def constant(cls, r) -> "ExpPoly":
         r = _rat(r)
-        return cls({(Fraction(1), 0): r}) if r != 0 else cls()
+        return cls._trusted({(1, 1, 0): r.numerator}, r.denominator) if r else cls()
 
     @classmethod
     def single(cls, coeff, power: int, base) -> "ExpPoly":
-        return cls({(_rat(base), power): _rat(coeff)})
+        return cls._trusted(*_integer_terms([((base, power), coeff)]))
 
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
 
     def coeff(self, base, power: int) -> Fraction:
-        return self._coeffs.get((_rat(base), power), Fraction(0))
+        base = _rat(base)
+        a = self._coeffs.get((base.numerator, base.denominator, power))
+        return Fraction(a, self._den) if a else Fraction(0)
 
-    def items(self) -> list[tuple[Key, Fraction]]:
-        """Terms in canonical order (|base| desc, power desc, base desc)."""
-        return sorted(self._coeffs.items(), key=lambda kv: _canonical_order(kv[0]), reverse=True)
+    def _sorted(self) -> list[tuple[Key, int]]:
+        # The (key, a) pairs in canonical order: |base| desc, power desc, base
+        # desc.  |num/den| is compared as |num| * (L // den) over the lcm L of
+        # the base denominators, so the sort compares integers only.
+        coeffs = self._coeffs
+        big_l = lcm(*{den for _, den, _ in coeffs})
+        return sorted(
+            coeffs.items(),
+            key=lambda kv: (abs(kv[0][0]) * (big_l // kv[0][1]), kv[0][2], kv[0][0] > 0),
+            reverse=True,
+        )
+
+    def items(self) -> list[tuple[tuple[Fraction, int], Fraction]]:
+        """Terms ((base, power), coefficient) in canonical order (|base| desc, power desc, base desc)."""
+        d = self._den
+        return [((Fraction(num, den), k), Fraction(a, d)) for (num, den, k), a in self._sorted()]
 
     def terms(self) -> list[Term]:
         return [Term(c, power, base) for (base, power), c in self.items()]
@@ -152,13 +171,14 @@ class ExpPoly:
 
         The value is written as S(n) * I(n) / n**K, where
         S(n) = (g/D) * (G/Q)**n is a Fraction, I(n) = sum a_i * r_i**n * n**(k_i + K)
-        is an integer, and K is the largest negative power.  D and Q are the
-        lcms of the coefficient and base denominators; g and G are the gcds
-        of the numerators over them, which a_i and r_i are divided by.  Each
-        index multiplies S(n) by I(n) / n**K, and ``Fraction``'s gcds meet a
-        small operand unless I(n) and the denominator of S(n) are both large,
-        which takes several bases.  With one base I(n) stays small, so a
-        large coefficient or index costs no gcd of two large integers.
+        is an integer, and K is the largest negative power.  D is the stored
+        common denominator and Q the lcm of the base denominators; g and G
+        are the gcds of the numerators over them, which a_i and r_i are
+        divided by.  Each index multiplies S(n) by I(n) / n**K, and
+        ``Fraction``'s gcds meet a small operand unless I(n) and the
+        denominator of S(n) are both large, which takes several bases.  With
+        one base I(n) stays small, so a large coefficient or index costs no
+        gcd of two large integers.
 
         This is one read, computed with ``pow``.  The body keeps no state: a
         loop over consecutive indices reads through ``values`` or ``reader``,
@@ -197,10 +217,11 @@ class ExpPoly:
         (c mod P) * n**k * (b mod P)**n, reduced mod P.  The residues of c and
         b are taken once here; each index costs one ``pow(b, n, P)`` and one
         ``pow(n, k, P)`` per term.  The residue is undefined (None) when P
-        divides a denominator of some c or b, or divides n under a negative
-        power.
+        divides the common denominator or a base's denominator, or divides n
+        under a negative power.
         """
-        terms = [(_residue(c), _residue(b), k) for (b, k), c in self._coeffs.items()]
+        d = self._den
+        terms = [(_residue(a, d), _residue(num, den), k) for (num, den, k), a in self._coeffs.items()]
         if any(c is None or b is None for c, b, _ in terms):
             return lambda n: None
         negative = any(k < 0 for _, _, k in terms)
@@ -215,73 +236,108 @@ class ExpPoly:
 
         return residue_at
 
-    def parity_groups(self) -> tuple[list[Group], list[Group]]:
-        """Per parity of n (even, odd): the nonzero groups ((|base|, power), coefficient), largest first.
+    def leads(self) -> tuple[Group | None, Group | None]:
+        """Per parity of n (even, odd): the dominant group ((|base|, power), coefficient), or None.
 
         On even n a term c * n**k * b**n is c * n**k * |b|**n, and on odd n it
         is sign(b) * c * n**k * |b|**n, so the terms of one (|base|, power)
         group add up to one coefficient per parity.  In (|base| desc, power
-        desc) order the first group of a parity dominates it: ``order`` reads
-        its sign, and ``zeros`` bounds the other groups against it.
+        desc) order the first nonzero group of a parity dominates it, and
+        ``order`` reads its sign; a parity whose groups all cancel gives None.
+        This table is the per-parity certificate behind every exact decision.
         """
-        # Keyed and sorted on integers: a Fraction key would be hashed and compared slowly.
-        groups: dict[tuple[int, int, int], list] = {}  # (|num|, den, power) -> [|base|, even, odd]
-        for (base, power), c in self._coeffs.items():
-            num = base.numerator
-            key = (abs(num), base.denominator, power)
-            slot = groups.get(key)
+        def lead(groups: list[IntGroup]) -> Group | None:
+            if not groups:
+                return None
+            num, den, power, a = groups[0]
+            return (Fraction(num, den), power), Fraction(a, self._den)
+
+        even, odd = self._groups()
+        return lead(even), lead(odd)
+
+    def _groups(self) -> tuple[list[IntGroup], list[IntGroup]]:
+        # Per parity (even, odd): the nonzero groups (|num|, den, power, a) of
+        # ``leads``, coefficient a / D, largest first.
+        groups: dict[tuple[int, int, int], list[int]] = {}  # (|num|, den, power) -> [even a, odd a]
+        for (num, den, power), a in self._coeffs.items():
+            odd = a if num > 0 else -a
+            slot = groups.get((abs(num), den, power))
             if slot is None:
-                groups[key] = [base if num > 0 else -base, c, c if num > 0 else -c]
+                groups[(abs(num), den, power)] = [a, odd]
             else:
-                slot[1] += c
-                slot[2] += c if num > 0 else -c
-        d = lcm(*(den for _, den, _ in groups))
-        keys = sorted(groups, key=lambda k: (k[0] * (d // k[1]), k[2]), reverse=True)
-        return tuple(
-            [((groups[k][0], k[2]), groups[k][p]) for k in keys if groups[k][p]] for p in (1, 2)
-        )
+                slot[0] += a
+                slot[1] += odd
+        big_l = lcm(*{den for _, den, _ in groups})
+        keys = sorted(groups, key=lambda k: (k[0] * (big_l // k[1]), k[2]), reverse=True)
+        return tuple([(*k, groups[k][p]) for k in keys if groups[k][p]] for p in (0, 1))
 
     def reflect(self, m: int) -> "ExpPoly":
         """The form t -> self(m - t): the sequence read backwards from index m.
 
-        A term c * n**k * b**n at n = m - t is c * b**m * (m - t)**k * (1/b)**t,
-        so the powers must be nonnegative.  At m = 0 that is
-        c * (-1)**k * t**k * (1/b)**t, the term relabelled with no expansion.
+        A term c * n**k * b**n at n = -t is c * (-1)**k * t**k * (1/b)**t, the
+        term relabelled with no expansion, so the powers must be nonnegative.
+        That form read at t - m (``shift``) is self(m - t).
         """
-        if any(power < 0 for _, power in self._coeffs):
+        coeffs = self._coeffs
+        if any(power < 0 for _, _, power in coeffs):
             raise ValueError("cannot reflect a term with a negative power")
-        inverse = lambda b: Fraction(b.denominator, b.numerator)
-        if m == 0:
-            return ExpPoly._trusted(
-                {(inverse(b), k): -c if k % 2 else c for (b, k), c in self._coeffs.items()}
-            )
-        out: dict[Key, Fraction] = {}
-        for (base, power), c in self._coeffs.items():
-            scaled = c * base**m
-            for j in range(power + 1):  # (m - t)**k = sum C(k, j) * m**(k - j) * (-t)**j
-                key = (inverse(base), j)
-                term = scaled * comb(power, j) * m ** (power - j)
-                out[key] = out.get(key, Fraction(0)) + (-term if j % 2 else term)
-        return ExpPoly(out)
+        backwards = ExpPoly._trusted(
+            {
+                ((den, num, k) if num > 0 else (-den, -num, k)): -a if k % 2 else a
+                for (num, den, k), a in coeffs.items()
+            },
+            self._den,
+        )
+        return backwards.shift(m) if m else backwards
 
-    def zeros(self, hi: int) -> set[int]:
+    def shift(self, m: int) -> "ExpPoly":
+        """The form n -> self(n - m), re-expanded in powers of n; the powers must be nonnegative.
+
+        A term c * n**k * b**n at n - m is c * b**-m * sum C(k, j) * (-m)**(k - j)
+        * n**j * b**n.  b**-m = den**m / num**m is put over L**m, with L the
+        lcm of the base numerators' magnitudes.
+        """
+        coeffs = self._coeffs
+        big_l = lcm(*{abs(num) for num, _, _ in coeffs})
+        out: dict[Key, int] = {}
+        for (num, den, power), a in coeffs.items():
+            shifted = a * (den * (big_l // abs(num))) ** m
+            if num < 0 and m % 2:
+                shifted = -shifted
+            for j in range(power + 1):
+                key = (num, den, j)
+                out[key] = out.get(key, 0) + shifted * comb(power, j) * (-m) ** (power - j)
+        return ExpPoly._reduced({k: a for k, a in out.items() if a}, self._den * big_l**m)
+
+    def zeros(self, hi: int, forward: "ExpPoly | None" = None) -> set[int]:
         """The t in 0..hi - 1 where the value is 0; the powers must be nonnegative.
 
-        On each parity of t (``parity_groups``), a parity with no nonzero
+        On each parity of t (the groups of ``leads``), a parity with no nonzero
         group is 0 at every t of it, and those t are added with no evaluation.
         Otherwise the first group outweighs the sum of the others from some T
         on (``_tail_start``), so the value has no zero there, and T does not
         depend on hi.  Only t < min(T, hi) are evaluated exactly: S(t) in
         ``value_at`` is never 0, so the value is 0 where the integer I(t) is,
         and each term of I(t) steps a_i * r_i**t by one multiplication per t.
+
+        ``forward`` is the same values read the other way, forward(hi - t) =
+        self(t).  When T reaches hi and every base of ``forward`` is 1 or -1,
+        the zeros are read off its scan of n = 1..hi instead: the reflection
+        of a polynomial at hi carries every power of t with coefficients of
+        the size of hi**k, where the forward form carries its own few terms.
+        A base |b| < 1 makes the forward form the larger one, as its constant
+        carries b**-hi.
         """
         holes: set[int] = set()
         window = 0
-        for parity, groups in enumerate(self.parity_groups()):
+        for parity, groups in enumerate(self._groups()):
             if groups:
                 window = max(window, _tail_start(groups, hi))
             else:
                 holes.update(range(parity, hi, 2))
+        polynomial = forward is not None and all(den == abs(num) == 1 for num, den, _ in forward._coeffs)
+        if window >= hi and polynomial:
+            return {hi - n for n in forward._zeros_below(hi + 1) if n}
         window = min(window, hi)
         if window:
             holes.update(self._zeros_below(window))
@@ -298,92 +354,131 @@ class ExpPoly:
 
     def _plan(self) -> tuple[Fraction, Fraction | None, int, tuple[tuple[int, int, int], ...]]:
         # (g/D, G/Q or None when it is 1, K, ((a_i, r_i, k_i + K) per term)): see value_at.
-        keys = self._coeffs.keys()
-        nums, d = _over_lcm(self._coeffs.values())
-        ratios, q = _over_lcm([b for b, _ in keys])
+        coeffs = self._coeffs
+        nums = list(coeffs.values())
+        q = lcm(*[den for _, den, _ in coeffs])
+        ratios = [num * (q // den) for num, den, _ in coeffs]
         g, big_g = gcd(*nums), gcd(*ratios)
-        k_shift = max([0, *(-k for _, k in keys)])
+        k_shift = max([0, *(-k for _, _, k in coeffs)])
         terms = tuple(
-            (a // g, r // big_g, k + k_shift) for a, r, (_, k) in zip(nums, ratios, keys)
+            (a // g, r // big_g, k + k_shift) for a, r, (_, _, k) in zip(nums, ratios, coeffs)
         )
-        return Fraction(g, d), Fraction(big_g, q) if big_g != q else None, k_shift, terms
+        return Fraction(g, self._den), Fraction(big_g, q) if big_g != q else None, k_shift, terms
 
     def scale(self, r) -> "ExpPoly":
         r = _rat(r)
         if r == 0:
             return ExpPoly()
-        return ExpPoly({k: c * r for k, c in self._coeffs.items()})
+        p = r.numerator
+        return ExpPoly._reduced({k: a * p for k, a in self._coeffs.items()}, self._den * r.denominator)
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        merged = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            merged[k] = merged.get(k, Fraction(0)) + c
-        return ExpPoly(merged)
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly({k: -c for k, c in self._coeffs.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "ExpPoly", sign: int) -> "ExpPoly":
+        # self + sign * other, both brought over the lcm of the two denominators.
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            merged, d, f = dict(self._coeffs), d1, sign
+        else:
+            d = d1 // gcd(d1, d2) * d2
+            f1 = d // d1
+            merged, f = {k: a * f1 for k, a in self._coeffs.items()}, sign * (d // d2)
+        for k, a in other._coeffs.items():
+            s = merged.get(k, 0) + a * f
+            if s:
+                merged[k] = s
+            else:
+                del merged[k]
+        return ExpPoly._reduced(merged, d)
+
+    def __neg__(self) -> "ExpPoly":
+        return ExpPoly._trusted({k: -a for k, a in self._coeffs.items()}, self._den)
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
         # Term product: coefficients multiply, powers add, bases multiply.
-        # Each operand's coefficients are integer numerators over its lcm
-        # denominator, grouped by base, so a base pair is multiplied and
-        # hashed once and a key's coefficient is one Fraction(sum, da * db).
-        left, da = self._numerators_by_base()
-        right, db = other._numerators_by_base()
-        sums: dict[Fraction, dict[int, int]] = {}
-        for b1, terms1 in left.items():
-            for b2, terms2 in right.items():
-                acc = sums.setdefault(b1 * b2, {})
+        # The numerators are grouped by base, so a base pair is multiplied
+        # and reduced once, and the product is over the denominator D1 * D2.
+        left, right = self._numerators_by_base(), other._numerators_by_base()
+        sums: dict[Key, int] = {}
+        for (n1, d1), terms1 in left.items():
+            for (n2, d2), terms2 in right.items():
+                g1, g2 = gcd(n1, d2), gcd(n2, d1)
+                num, den = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
                 for k1, a1 in terms1:
                     for k2, a2 in terms2:
-                        k = k1 + k2
-                        acc[k] = acc.get(k, 0) + a1 * a2
-        d = da * db
-        return ExpPoly._trusted(
-            {(base, k): Fraction(s, d) for base, acc in sums.items() for k, s in acc.items() if s}
-        )
+                        key = (num, den, k1 + k2)
+                        sums[key] = sums.get(key, 0) + a1 * a2
+        return ExpPoly._reduced({k: s for k, s in sums.items() if s}, self._den * other._den)
 
-    def _numerators_by_base(self) -> tuple[dict[Fraction, list[tuple[int, int]]], int]:
-        # ({base: [(power, a), ...]}, D) with each coefficient c = a / D, D the lcm.
-        nums, d = _over_lcm(self._coeffs.values())
-        groups: dict[Fraction, list[tuple[int, int]]] = {}
-        for (base, power), a in zip(self._coeffs, nums):
-            groups.setdefault(base, []).append((power, a))
-        return groups, d
+    def _numerators_by_base(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        # {(num, den): [(power, a), ...]}: the numerators over the common denominator, by base.
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (num, den, power), a in self._coeffs.items():
+            groups.setdefault((num, den), []).append((power, a))
+        return groups
 
     @classmethod
-    def _trusted(cls, coeffs: dict[Key, Fraction]) -> "ExpPoly":
-        # An ExpPoly over coeffs that are canonical already: nonzero bases and
-        # coefficients, Fraction keys and values, no revalidation.
+    def _trusted(cls, coeffs: dict[Key, int], den: int = 1) -> "ExpPoly":
+        # An ExpPoly over parts that are canonical already: reduced bases,
+        # nonzero numerators and gcd(den, numerators) = 1; no revalidation.
         p = cls.__new__(cls)
         p._coeffs = coeffs
+        p._den = den
         return p
 
+    @classmethod
+    def _reduced(cls, coeffs: dict[Key, int], den: int) -> "ExpPoly":
+        # The ExpPoly with coefficients a / den (nonzero a, den > 0), their common factor divided out.
+        g = gcd(den, *coeffs.values())
+        if g == 1:
+            return cls._trusted(coeffs, den)
+        return cls._trusted({k: a // g for k, a in coeffs.items()}, den // g)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExpPoly) and self._coeffs == other._coeffs
+        return isinstance(other, ExpPoly) and self._den == other._den and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._den, frozenset(self._coeffs.items())))
 
     def render(self) -> str:
-        """Stable text form, e.g. ``1/2*n^2*1^n + 1/2*n^1*1^n``; parseable by the CLI."""
-        if self.is_zero:
+        """Stable text form, e.g. ``1/2*n^2*1^n + 1/2*n^1*1^n``; parseable by the CLI.
+
+        Each coefficient a / D is reduced by one gcd(a, D), and every
+        rational prints as ``str(Fraction)`` would print it.
+        """
+        if not self._coeffs:
             return "0"
-        parts: list[str] = []
-        for (base, power), c in self.items():
-            mag = -c if c < 0 else c
-            body = f"{mag}*n^{power}*{_render_base(base)}^n"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+        d, parts = self._den, []
+        for (num, den, power), a in self._sorted():
+            g = gcd(a, d)
+            mag = f"{abs(a) // g}" if g == d else f"{abs(a) // g}/{d // g}"
+            base = f"{num}" if den == 1 else f"{num}/{den}"
+            if num < 0:
+                base = f"({base})"
+            sign = ("" if a > 0 else "-") if not parts else ("+ " if a > 0 else "- ")
+            parts.append(f"{sign}{mag}*n^{power}*{base}^n")
         return " ".join(parts)
 
     def __repr__(self):
         return f"ExpPoly({self.render()})"
+
+
+def _integer_terms(pairs: Iterable) -> tuple[dict[Key, int], int]:
+    # (coefficients, D) of an ExpPoly from ((base, power), coefficient) pairs of rationals.
+    cleaned: dict[Key, Fraction] = {}
+    for (base, power), c in pairs:
+        base = _rat(base)
+        c = _rat(c)
+        if base == 0:
+            raise InvalidTerm("term base must be nonzero")
+        if c != 0:
+            cleaned[(base.numerator, base.denominator, int(power))] = c
+    d = lcm(*[c.denominator for c in cleaned.values()])
+    return {key: c.numerator * (d // c.denominator) for key, c in cleaned.items()}, d
 
 
 def _value(memo: tuple) -> Fraction:
@@ -392,11 +487,12 @@ def _value(memo: tuple) -> Fraction:
     return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
 
 
-def _tail_start(groups: list[Group], cap: int) -> int:
+def _tail_start(groups: list[IntGroup], cap: int) -> int:
     """The least T in 1..cap from which the first of one parity's groups outweighs the rest, else cap.
 
-    ``groups`` are one parity's ((|base|, power), coefficient), largest first.
-    With the first group (B0, k0, C0), each other group j gives the ratio
+    ``groups`` are one parity's (|num|, den, power, a), largest first, as
+    ``ExpPoly._groups`` gives them.  With the first group (B0, k0, C0), each
+    other group j gives the ratio
     rho_j(t) = |Cj / C0| * t**(kj - k0) * (Bj / B0)**t.  T is the least
     t >= 1 at which every rho_j steps down, rho_j(t + 1) <= rho_j(t), and
     their sum is below 1.  The step ((t + 1) / t)**(kj - k0) * Bj / B0 falls
@@ -404,14 +500,13 @@ def _tail_start(groups: list[Group], cap: int) -> int:
     C0 * t**k0 * B0**t times (1 + a sum of magnitude below 1): not 0.
     The search doubles t, then bisects, on exact integers.
     """
-    (b0, k0), _ = groups[0]
-    nums, _ = _over_lcm(c for _, c in groups)  # Cj = aj / D
-    a0, p0, q0 = abs(nums[0]), b0.numerator, b0.denominator
-    shift = max(k0 - k for (_, k), _ in groups)  # t**shift clears the negative powers of t
+    p0, q0, k0, a0 = groups[0]  # Cj = aj / D: the common denominator cancels in rho_j
+    a0 = abs(a0)
+    shift = max(k0 - k for _, _, k, _ in groups)  # t**shift clears the negative powers of t
     by_ratio: dict[tuple[int, int], list[tuple[int, int]]] = {}  # Bj / B0 -> [(kj - k0 + shift, |aj|)]
-    for ((b, k), _), a in zip(groups[1:], nums[1:]):
-        by_ratio.setdefault((b.numerator * q0, b.denominator * p0), []).append((k - k0 + shift, abs(a)))
-    rising = [(k - k0, b.numerator * q0, b.denominator * p0) for (b, k), _ in groups[1:] if k > k0]
+    for p, q, k, a in groups[1:]:
+        by_ratio.setdefault((p * q0, q * p0), []).append((k - k0 + shift, abs(a)))
+    rising = [(k - k0, p * q0, q * p0) for p, q, k, _ in groups[1:] if k > k0]
 
     def settled(t: int) -> bool:
         if any((t + 1) ** d * p > t**d * q for d, p, q in rising):  # there Bj / B0 = p / q < 1
@@ -434,24 +529,9 @@ def _tail_start(groups: list[Group], cap: int) -> int:
     return hi
 
 
-def _over_lcm(xs: Iterable[Fraction]) -> tuple[list[int], int]:
-    # ([a, ...], D): each x = a / D over the lcm D of the denominators.
-    xs = list(xs)
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _render_base(base: Fraction) -> str:
-    return str(base) if base > 0 else f"({base})"
-
-
 def canonicalize(terms: Iterable[Term]) -> ExpPoly:
     """Merge terms sharing a (base, power) key and drop zero coefficients."""
-    out: dict[Key, Fraction] = {}
-    for t in terms:
-        key = (t.base, t.power)
-        out[key] = out.get(key, Fraction(0)) + t.coeff
-    return ExpPoly(out)
+    return sum((ExpPoly.single(t.coeff, t.power, t.base) for t in terms), ExpPoly())
 
 
 class LazySeq:
@@ -542,7 +622,7 @@ class Quantity:
                 if i < 1:
                     raise ValueError("patch indices start at 1")
                 v = _rat(v)
-                fv, fb = _residue(v), fingerprint(i)
+                fv, fb = _residue(v.numerator, v.denominator), fingerprint(i)
                 differs = fv is not None and fb is not None and fv != fb
                 if differs or v != body.value_at(i):
                     cleaned[i] = v
@@ -563,13 +643,16 @@ class Quantity:
         minimal already.  n is a hole exactly when t = m - n is a zero of
         ``reflected``, the body read backwards from m (``body.reflect(m)``
         unless the caller has it more cheaply), and ``ExpPoly.zeros`` finds
-        those from a tail bound without evaluating every index.  All prefix
-        entries share one ``Fraction(0)``.
+        those from a tail bound without evaluating every index.  When it
+        reflects the body itself and the bound reaches m, the body is scanned
+        forwards over 1..m instead.  All prefix entries share one
+        ``Fraction(0)``.
         """
+        forward = None
         if reflected is None:
-            reflected = body.reflect(m)
+            reflected, forward = body.reflect(m), body
         prefix: PrefixPatch = dict.fromkeys(range(1, m + 1), Fraction(0))
-        for t in reflected.zeros(m):
+        for t in reflected.zeros(m, forward):
             del prefix[m - t]
         if tail:
             prefix.update(tail)
@@ -873,22 +956,15 @@ def delay(q, m: int) -> Quantity:
         return q
     if not q.is_closed:
         return Quantity(None, {}, LazySeq("delay", (q.seq,), m))
-    # Re-expand each c*n^k*b^n at n-m into powers of n; needs k >= 0.
-    out: dict[Key, Fraction] = {}
-    for (base, power), c in q.body.items():
+    # Re-expanding each c*n^k*b^n at n-m into powers of n needs k >= 0.
+    for (_, power), _ in q.body.items():
         if power < 0:
             raise NegativePowerDelay(
                 f"cannot delay term with power {power}; lower to lazy via as_lazy()"
             )
-        shifted = c * base ** (-m)
-        for j in range(power + 1):
-            key = (base, j)
-            out[key] = out.get(key, Fraction(0)) + shifted * comb(power, j) * Fraction(-m) ** (
-                power - j
-            )
     # body(i + m) = q.body(i), so the shifted overrides stay minimal.
     return Quantity.zero_prefixed(
-        ExpPoly(out), m, {i + m: v for i, v in q.patch.items()}, q.body.reflect(0)
+        q.body.shift(m), m, {i + m: v for i, v in q.patch.items()}, q.body.reflect(0)
     )
 
 

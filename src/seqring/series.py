@@ -101,7 +101,8 @@ def partial_sums(s: Series) -> Quantity:
     of the term has |b| > 1, the reflected body is led by its constant, and
     only a window of t = m - n near 0 is evaluated.  Otherwise the window can
     reach the whole prefix: a polynomial term's reflection can vanish
-    anywhere in it.
+    anywhere in it, and its prefix is then scanned on the body itself, which
+    has fewer and smaller terms than the reflection.
     """
     total = ExpPoly.zero()
     for (base, power), coeff in s.term.items():

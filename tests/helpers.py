@@ -71,6 +71,31 @@ def naive_product(a: ExpPoly, b: ExpPoly) -> dict:
     return {key: c for key, c in out.items() if c != 0}
 
 
+def reference_items(pairs) -> list:
+    """Independent canonical order: ((b, k), c) for ((b, k), c) pairs, summed per key.
+
+    Zero sums are dropped, and the rest are sorted on plain Fractions by
+    (abs(b), k, b), descending.  It calls nothing from ``seqring``.
+    """
+    merged: dict = {}
+    for (b, k), c in pairs:
+        merged[(F(b), k)] = merged.get((F(b), k), F(0)) + F(c)
+    kept = [(key, c) for key, c in merged.items() if c != 0]
+    return sorted(kept, key=lambda kv: (abs(kv[0][0]), kv[0][1], kv[0][0]), reverse=True)
+
+
+def reference_render(pairs) -> str:
+    """Independent text of the form summed from ((b, k), c) pairs, printed with ``str(Fraction)``."""
+    parts = []
+    for (b, k), c in reference_items(pairs):
+        body = f"{abs(c)}*n^{k}*{b if b > 0 else f'({b})'}^n"
+        if parts:
+            parts.append(("+ " if c > 0 else "- ") + body)
+        else:
+            parts.append(body if c > 0 else "-" + body)
+    return " ".join(parts) or "0"
+
+
 def naive_eval(q: Quantity, n: int) -> F:
     """Independent value of a closed quantity: its patch, else ``naive_value`` of its body.
 

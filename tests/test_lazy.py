@@ -319,12 +319,13 @@ def test_one_body_read_at_three_offsets_restarts_once_per_offset(monkeypatch):
 
 def test_delays_of_one_body_keep_at_most_two_memos():
     # One body read at one index under 200 delays; the body itself holds only
-    # its coefficients, so no read leaves a memo on it.
+    # its integer coefficients and their common denominator, so no read
+    # leaves a memo on it.
     x = Quantity.closed(ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(-1), 1): F(7)}))
     fx = mirror_closed(x)
     for m in range(1, 201):
         assert eval_at(delay(x.as_lazy(), m), 3000) == fx(3000 - m)
-    assert ExpPoly.__slots__ == ("_coeffs",)
+    assert ExpPoly.__slots__ == ("_coeffs", "_den")
 
 
 def test_lazy_descriptions_render_the_dag():

@@ -1,4 +1,4 @@
-"""Property tests: the product law and parse/render round-trips of products and patches.
+"""Property tests: the product law, parse/render round-trips, and order and text against a reference.
 
 They need ``hypothesis``, which seqring does not depend on, and are skipped
 without it.
@@ -10,7 +10,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from helpers import naive_product, naive_value
+from helpers import naive_product, naive_value, reference_items, reference_render
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +63,32 @@ def test_patches_round_trip_through_parse_and_render(body, entries, equal_at):
     assert q.patch.items() <= entries.items()
     text = q.render()
     assert _round_trip(text) == text
+
+
+# Bases of equal magnitude with both signs, over denominators 1 to 5, and
+# coefficients over mixed denominators, one of them a large prime.
+SIGNED_BASES = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 4), F(-3, 4), F(4, 3), F(2, 3), F(-6, 5)]
+coefficients = st.builds(
+    F, st.integers(-(10**12), 10**12).filter(bool), st.sampled_from([1, 2, 3, 4, 6, 9, 35, 10**9 + 7])
+)
+pair_lists = st.lists(st.tuples(st.tuples(st.sampled_from(SIGNED_BASES), st.integers(-3, 3)), coefficients))
+
+
+def _form(pairs) -> ExpPoly:
+    return sum((ExpPoly.single(c, k, b) for (b, k), c in pairs), ExpPoly())
+
+
+@SETTINGS
+@given(pair_lists, pair_lists)
+def test_order_and_text_match_the_reference(xs, ys):
+    a, b = _form(xs), _form(ys)
+    cancelled = [(key, -c) for key, c in xs]
+    for form, pairs in (
+        (a, xs),
+        (a + b, xs + ys),
+        (a - b, xs + [(key, -c) for key, c in ys]),
+        ((a + b) - a, xs + ys + cancelled),  # every term of a cancels
+        (a * ExpPoly.constant(F(-3, 7)), [(key, c * F(-3, 7)) for key, c in xs]),
+    ):
+        assert form.items() == reference_items(pairs)
+        assert form.render() == reference_render(pairs)

@@ -291,6 +291,39 @@ def test_mul_of_empty_constant_and_cancelling_forms():
             _check_product(a, b)
 
 
+def test_equal_forms_are_equal_and_hash_alike():
+    # The coefficients are kept as integers over one reduced denominator, so
+    # every route to one form must reach the same integers.
+    rng = random.Random(12)
+    for _ in range(150):
+        a, b, c = _product_form(rng), _product_form(rng), _product_form(rng)
+        r = F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
+        for x, y in (
+            ((a + b) - b, a),
+            (a.scale(r).scale(1 / r), a),
+            ((a * b) * c, a * (b * c)),
+            (-(-a), a),
+            (a, ExpPoly(dict(a.items()))),
+        ):
+            assert x == y and hash(x) == hash(y), (a, b, c, r)
+    assert (a - a) == ExpPoly() and hash(a - a) == hash(ExpPoly())
+    with pytest.raises(InvalidTerm):
+        ExpPoly({(0, 1): 1})
+
+
+def test_products_hash_no_fraction(monkeypatch):
+    # Bases and coefficients are integers inside ExpPoly, so repeated products
+    # never hash a Fraction (the Fraction-keyed form made 106 149 calls here).
+    calls = []
+    fraction_hash = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or fraction_hash(self))
+    half, alternating = ExpPoly.single(1, 0, F(1, 2)), ExpPoly.single(1, 0, -1)
+    q = pow_int(N + Quantity.closed(half) + Quantity.closed(alternating), 64)
+    assert calls == []
+    monkeypatch.undo()
+    assert naive_value(q.body, 3) == (3 + F(1, 8) - 1) ** 64
+
+
 def test_scalar_coercion_operators():
     q = 3 * N + 1
     assert eval_at(q, 5) == 16

@@ -195,6 +195,34 @@ def test_series_from_far_starts_finds_every_hole(m):
         assert q.patch.keys() == set(range(1, m + 1)) - series_holes(term, m)
 
 
+# S(n) = n(n - 300)(n - 1000)(n - 2000) has these first differences, so its
+# sums from n + 1 to m vanish at n = 300 and 1000 for m = 1000 or 2000.
+QUARTIC_STEPS = ExpPoly({(F(1), 3): 4, (F(1), 2): -9906, (F(1), 1): 5809904, (F(1), 0): -602903301})
+
+
+@pytest.mark.parametrize("m", [1, 299, 1000, 2000, 2500])
+def test_series_of_a_polynomial_term_scans_its_body_forwards(m, monkeypatch):
+    # A polynomial's reflection at m has every power of t, with coefficients
+    # of the size of m**k, and its tail bound reaches m, so the holes are read
+    # off one forward scan of the body over 1..m.
+    scans = []
+    zeros_below = ExpPoly._zeros_below
+    monkeypatch.setattr(ExpPoly, "_zeros_below", lambda self, w: scans.append((self, w)) or zeros_below(self, w))
+    for term in (QUARTIC_STEPS, ExpPoly.single(1, 16, 1)):
+        scans.clear()
+        q = partial_sums(Series(term, m + 1))
+        assert q.patch.keys() == set(range(1, m + 1)) - series_holes(term, m)
+        assert len(scans) == 1 and scans[0][0] is q.body and scans[0][1] == m + 1
+    assert series_holes(QUARTIC_STEPS, 2000) == {300, 1000, 2000}
+    # With a base |b| < 1 the forward body's constant carries b**-m, and the
+    # reflection, which carries b**m in its coefficients, is scanned instead.
+    scans.clear()
+    term = ExpPoly.single(1, 3, F(1, 2))
+    q = partial_sums(Series(term, m + 1))
+    assert q.patch.keys() == set(range(1, m + 1)) - series_holes(term, m)
+    assert len(scans) == 1 and scans[0][0] != q.body
+
+
 def test_omit_first_of_ones():
     q = omit_first(Series(ExpPoly.constant(1)), 2)
     assert [eval_at(q, n) for n in range(1, 6)] == [0, 0, 1, 2, 3]
