@@ -66,6 +66,11 @@ IntGroup = tuple[int, int, int, int]
 # The modulus of patch fingerprints (``Quantity.closed``): the Mersenne prime 2**61 - 1.
 _P = (1 << 61) - 1
 
+# The one zero that every zero-prefix entry holds, so ``Quantity.render`` can
+# find runs of them by identity.  A speed path only: any other zero prints
+# the same text.
+_ZERO = Fraction(0)
+
 
 def _residue(num: int, den: int) -> int | None:
     # num / den mod _P, or None when _P divides den.
@@ -645,13 +650,13 @@ class Quantity:
         unless the caller has it more cheaply), and ``ExpPoly.zeros`` finds
         those from a tail bound without evaluating every index.  When it
         reflects the body itself and the bound reaches m, the body is scanned
-        forwards over 1..m instead.  All prefix entries share one
-        ``Fraction(0)``.
+        forwards over 1..m instead.  All prefix entries hold the one shared
+        ``_ZERO``, which ``render`` prints in bulk.
         """
         forward = None
         if reflected is None:
             reflected, forward = body.reflect(m), body
-        prefix: PrefixPatch = dict.fromkeys(range(1, m + 1), Fraction(0))
+        prefix: PrefixPatch = dict.fromkeys(range(1, m + 1), _ZERO)
         for t in reflected.zeros(m, forward):
             del prefix[m - t]
         if tail:
@@ -712,13 +717,30 @@ class Quantity:
         return pow_int(self, j)
 
     def render(self) -> str:
+        """Stable text form: the body's, inside ``patch(body, i:v, ...)`` when there are overrides.
+
+        The entries are ``f"{i}:{v}"`` in index order.  A run of entries that
+        hold the shared ``_ZERO`` of a zero prefix is written by one join of
+        its indices, with no per-entry formatting; every other entry,
+        another zero included, is formatted on its own.  Both print the same
+        bytes, so the text never depends on which zero an entry holds.
+        """
         if not self.is_closed:
             return f"lazy({self.seq.description})"
         text = self.body.render()
-        if self.patch:
-            entries = ", ".join(f"{i}:{self.patch[i]}" for i in sorted(self.patch))
-            return f"patch({text}, {entries})"
-        return text
+        if not self.patch:
+            return text
+        keys = sorted(self.patch)
+        vals = list(map(self.patch.__getitem__, keys))
+        entries, start = [], 0
+        for i in compress(range(len(vals)), map(operator.is_not, vals, repeat(_ZERO))):
+            if start < i:
+                entries.append(":0, ".join(map(str, keys[start:i])) + ":0")
+            entries.append(f"{keys[i]}:{vals[i]}")
+            start = i + 1
+        if start < len(keys):
+            entries.append(":0, ".join(map(str, keys[start:])) + ":0")
+        return f"patch({text}, {', '.join(entries)})"
 
     def __repr__(self):
         return f"Quantity({self.render()})"
@@ -893,10 +915,16 @@ def add(q1, q2) -> Quantity:
 
 
 def neg(q) -> Quantity:
-    """Pointwise negation; the additive inverse."""
+    """Pointwise negation; the additive inverse.
+
+    A closed q's patch is negated as it stands: v != body(i) gives
+    -v != -body(i), so the negated patch is minimal already and skips
+    ``Quantity.closed``'s re-check.  ``v and -v`` keeps a zero entry's own
+    object, so a negated zero prefix still holds the shared ``_ZERO``.
+    """
     q = _coerce(q)
     if q.is_closed:
-        return Quantity.closed(-q.body, {i: -v for i, v in q.patch.items()})
+        return Quantity(-q.body, {i: v and -v for i, v in q.patch.items()}, None)
     return Quantity(None, {}, LazySeq("neg", (q.seq,)))
 
 

@@ -54,8 +54,13 @@ def geometric_power_sum(j: int, b) -> ExpPoly:
 
     The sum is A + p(n) * b**n with deg(p) <= j.  Matching the difference
     equation G(n) - G(n-1) = n**j * b**n coefficient by coefficient gives an
-    upper-triangular system with diagonal 1 - 1/b, solved exactly by back
-    substitution; G(0) = 0 fixes the constant A = -p(0).
+    upper-triangular system with diagonal 1 - 1/b; G(0) = 0 fixes the
+    constant A = -p(0).  It is solved on integers: with b = u/v and
+    w = u - v, the coefficient of n**i is c_i = f_i / w**(j - i + 1), where
+    f_j = u and, by back substitution,
+    f_p = v * sum((-1)**(i - p) * C(i, p) * w**(i - p - 1) * f_i, i = p+1..j).
+    Over the one denominator |w|**(j + 1), c_i has the numerator
+    f_i * w**i * sign(w)**(j + 1), and no ``Fraction`` is built.
     """
     b = Fraction(b)
     if j < 0:
@@ -66,18 +71,18 @@ def geometric_power_sum(j: int, b) -> ExpPoly:
         raise BaseOne("base 1 has no geometric closed form; use faulhaber_sum")
     if b == 0:
         raise InvalidTerm("term base must be nonzero", operation="geometric_power_sum")
-    inv_b = 1 / b
-    c: list[Fraction] = [Fraction(0)] * (j + 1)
-    for p in range(j, -1, -1):
-        rhs = Fraction(1 if p == j else 0)
-        acc = Fraction(0)
-        for i in range(p + 1, j + 1):
-            acc += c[i] * comb(i, p) * Fraction(-1) ** (i - p)
-        c[p] = (rhs + inv_b * acc) / (1 - inv_b)
-    coeffs = {(b, i): c[i] for i in range(j + 1) if c[i] != 0}
-    if c[0] != 0:
-        coeffs[(Fraction(1), 0)] = -c[0]
-    return ExpPoly(coeffs)
+    u, v = b.numerator, b.denominator
+    w = u - v
+    f = [0] * (j + 1)
+    f[j] = u
+    for p in range(j - 1, -1, -1):
+        terms = ((-1) ** (i - p) * comb(i, p) * w ** (i - p - 1) * f[i] for i in range(p + 1, j + 1))
+        f[p] = v * sum(terms)
+    sign = -1 if w < 0 and j % 2 == 0 else 1  # sign(w)**(j + 1)
+    coeffs = {(u, v, i): sign * f[i] * w**i for i in range(j + 1) if f[i]}
+    if f[0]:
+        coeffs[(1, 1, 0)] = -sign * f[0]
+    return ExpPoly._reduced(coeffs, abs(w) ** (j + 1))
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,18 @@ def reference_render(pairs) -> str:
     return " ".join(parts) or "0"
 
 
+def reference_patch_render(body_text: str, patch: dict) -> str:
+    """Independent text of a closed quantity from its body's text and its patch.
+
+    ``body_text`` alone when the patch is empty, else
+    ``patch(<body_text>, i:v, ...)`` with each entry ``f"{i}:{v}"`` over the
+    sorted indices.  It calls nothing from ``seqring``.
+    """
+    if not patch:
+        return body_text
+    return f"patch({body_text}, {', '.join(f'{i}:{patch[i]}' for i in sorted(patch))})"
+
+
 def naive_eval(q: Quantity, n: int) -> F:
     """Independent value of a closed quantity: its patch, else ``naive_value`` of its body.
 

@@ -13,6 +13,8 @@ from helpers import (
     naive_value,
     random_poly,
     random_quantity,
+    reference_patch_render,
+    reference_render,
 )
 
 from seqring import (
@@ -22,6 +24,7 @@ from seqring import (
     NegativePowerDelay,
     NonInvertible,
     Quantity,
+    Series,
     Term,
     add,
     canonicalize,
@@ -30,11 +33,12 @@ from seqring import (
     eval_at,
     mul,
     neg,
+    partial_sums,
     patch,
     pow_int,
     values,
 )
-from seqring.quantity import reader
+from seqring.quantity import _ZERO, reader
 
 N = Quantity.closed(ExpPoly.single(1, 1, 1))
 P = Quantity.closed(ExpPoly({(F(1), 2): F(1, 2), (F(1), 1): F(1, 2)}))
@@ -652,3 +656,54 @@ def test_rendering_examples():
     assert P.render() == "1/2*n^2*1^n + 1/2*n^1*1^n"
     assert embed_scalar(0).render() == "0"
     assert Quantity.closed(ExpPoly.single(1, 0, -1)).render() == "1*n^0*(-1)^n"
+
+
+def _check_render(q: Quantity) -> None:
+    assert q.render() == reference_patch_render(reference_render(q.body.items()), q.patch)
+
+
+def test_rendering_matches_the_reference_on_zero_prefixes():
+    # Runs of prefix zeros are written in bulk; the text must still be the
+    # per-entry f"{i}:{v}" of every override, whichever zero an entry holds.
+    for body in VANISHING_BODIES:
+        q = Quantity.closed(body)
+        for m in (1, 2, 7, 21, 501):
+            d = delay(q, m)
+            assert all(v is _ZERO for v in d.patch.values())
+            inside = [i for i in (1, m // 2, m) if i in d.patch]
+            overrides = {i: F(-i, 3) for i in inside} | {m + 1: F(9), m + 4: F(0)}
+            users = {i: F(0, 5) for i in inside}  # zeros that are not the shared one
+            for r in (d, neg(d), patch(d, overrides), patch(d, users), neg(patch(d, overrides))):
+                _check_render(r)
+            assert all(patch(d, users).patch[i] is not _ZERO for i in users)
+        for m in (1, 20, 299):
+            s = partial_sums(Series(body, m + 1))
+            for r in (s, neg(s), patch(s, {m: F(1, 2), m + 2: F(0)})):
+                _check_render(r)
+    _check_render(patch(N, {2: F(0), 3: F(0), 5: F(7, 2)}))
+    _check_render(Quantity.closed(ExpPoly(), {1: F(0), 4: F(-1)}))
+    _check_render(delay(patch(N, {1: F(0), 2: F(-5)}), 6))
+
+
+def test_neg_keeps_a_minimal_patch():
+    rng = random.Random(15)
+    cases = [delay(Quantity.closed(b), m) for b in VANISHING_BODIES for m in (3, 40)]
+    cases += [random_quantity(rng, with_patch=True) for _ in range(40)]
+    cases += [patch(delay(N, 5), {2: F(0, 7), 3: F(4), 9: F(1)})]
+    for q in cases:
+        negated = {i: -v for i, v in q.patch.items()}
+        assert neg(q).patch == Quantity.closed(-q.body, negated).patch == negated
+        assert neg(q).body == -q.body
+    assert all(v is _ZERO for v in neg(delay(N, 30)).patch.values())
+
+
+def test_prefix_zeros_render_without_formatting_each_entry(monkeypatch):
+    formatted = []
+    to_str = F.__str__
+    monkeypatch.setattr(F, "__str__", lambda self: formatted.append(self) or to_str(self))
+    d = patch(delay(N, 1000), {500: F(0, 3), 700: F(2)})
+    for q in (d, neg(d)):
+        formatted.clear()
+        q.render()
+        assert len(formatted) == 2  # the entries at 500 and 700, not the 998 shared zeros
+        _check_render(q)

@@ -14,6 +14,7 @@ from helpers import (
 )
 
 from seqring import (
+    DEGREE_CAP,
     BaseOne,
     Comparison,
     DegreeCapExceeded,
@@ -117,6 +118,20 @@ def test_geometric_random_against_brute_force():
         got = geometric_power_sum(j, b)
         for n in range(1, 41):
             assert got.value_at(n) == sum(F(k) ** j * b**k for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "b",
+    # u - v < 0, then u - v > 0, for the base b = u/v
+    [F(1, 2), F(2, 3), F(3, 7), F(-1, 2), F(-2), F(-1), F(2), F(3, 2), F(3), F(10, 3)],
+)
+def test_geometric_power_sum_up_to_the_degree_cap(b):
+    for j in range(DEGREE_CAP + 1):
+        got = geometric_power_sum(j, b)
+        total = F(0)
+        for n in range(1, 21):
+            total += F(n) ** j * b**n
+            assert got.value_at(n) == naive_value(got, n) == total, (j, n)
 
 
 # ------------------------------------------------------------------
