@@ -29,9 +29,13 @@ Quantity expressions
   INT   := unsigned integer literal of decimal digits (str.isdecimal, so not ² or ①)
   IDENT := a letter or _, then letters, decimal digits and _ (so x1, not x² or N₂)
 
-All expression contexts share one evaluator, so + - * unary - and ^INT
-(|INT| <= 64) mean the same everywhere; a negative power needs an inverse (a
-single-term closed form, or a nonzero rational).
+Precedence, tightest first: ^ (applied once, so N^2^3 is a parse error), unary
+-, then *, then + and -, which are left-associative: -N^2 is -(N^2), 2*-N is
+2*(-N) and N-N-N is (N-N)-N. All expression contexts share one evaluator, so
+these mean the same everywhere; |INT| <= 64, and a negative power needs an
+inverse (a single-term closed form, or a nonzero rational). Binary operator
+chains may be of any length, but nesting (parentheses, unary -) past the
+recursion limit is the parse error "expected shallower nesting" at column 1.
 
 The named calls and their argument kinds are listed once, in SIGNATURES. A
 length, start or patch index above its cap is an evaluation error (exit 2),
@@ -39,7 +43,9 @@ raised before any argument is evaluated.
 
 Rationals are exact everywhere; decimal literals like 0.5 become 1/2.
 Exit codes: 0 success, 1 parse error, 2 evaluation error, 3 failed assertion
-or an unknown verdict on an asserted claim.
+or an unknown verdict on an asserted claim. A bad option value, or a --batch
+FILE that cannot be read as UTF-8 text, is a usage error (exit 2) before any
+statement runs.
 """
 
 from __future__ import annotations
@@ -48,10 +54,11 @@ import argparse
 import decimal
 import json
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .calculus import (
     BUILTINS,
@@ -112,64 +119,36 @@ _CAPS = {LENGTH: (MAX_DELAY, "delay"), START: (MAX_DELAY, "partial_sums"),
 # Tokens
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM, IDENT, punctuation kinds, EOF
     text: str
     col: int
 
 
-_PUNCT = {
-    "->": "ARROW",
-    "==": "EQEQ",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "^": "CARET",
-    "/": "SLASH",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ":": "COLON",
-    "=": "EQ",
-}
+_PUNCT = {"->": "ARROW", "==": "EQEQ", "+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET",
+          "/": "SLASH", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", "=": "EQ"}
+
+# One match per token; the search skips the whitespace between them (" \t\r\n"
+# only), since BAD takes any other character. \d is str.isdecimal, which int()
+# reads, so '²' and '①' are no digits. A name starts with a \w that is no \d;
+# \w also takes '²', '½' and 'Ⅷ', which _tokenize refuses inside a name.
+_TOKEN = re.compile(r"(?P<NUM>\d+(?:\.\d+)?)|(?P<IDENT>[^\W\d]\w*)"
+                    r"|(?P<PUNCT>->|==|[-+*^/(),:=])|(?P<BAD>[^ \t\r\n])")
 
 
 def _tokenize(src: str, line: int) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        col = i + 1
-        text = src[i : i + 2] if src[i : i + 2] in _PUNCT else ch  # "->" and "==" first
-        if text in _PUNCT:
-            out.append(Token(_PUNCT[text], text, col))
-            i += len(text)
-            continue
-        # isdecimal, not isdigit: int() rejects digits like '²' and '①'.
-        if ch.isdecimal():
-            j = i
-            while j < len(src) and src[j].isdecimal():
-                j += 1
-            if j < len(src) and src[j] == "." and j + 1 < len(src) and src[j + 1].isdecimal():
-                j += 1
-                while j < len(src) and src[j].isdecimal():
-                    j += 1
-            out.append(Token("NUM", src[i:j], col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            # Not isalnum, which takes '²' and '₂': names take decimal digits only, like numbers.
-            j = i
-            while j < len(src) and (src[j].isalpha() or src[j].isdecimal() or src[j] == "_"):
-                j += 1
-            out.append(Token("IDENT", src[i:j], col))
-            i = j
-            continue
-        raise ExprSyntaxError(line, col, "a valid token")
+    for match in _TOKEN.finditer(src):
+        kind, text, col = match.lastgroup, match.group(), match.start() + 1
+        if kind == "PUNCT":
+            kind = _PUNCT[text]
+        elif kind == "IDENT" and not text.isascii():  # names take letters, decimal digits and _
+            for j, ch in enumerate(text):
+                if not (ch.isalpha() or ch.isdecimal() or ch == "_"):
+                    raise ExprSyntaxError(line, col + j, "a valid token")
+        elif kind == "BAD":
+            raise ExprSyntaxError(line, col, "a valid token")
+        out.append(Token(kind, text, col))
     out.append(Token("EOF", "", len(src) + 1))
     return out
 
@@ -190,7 +169,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Ref:
-    name: str
+    name: str  # a binding, or a built-in function where a function is read
 
 
 @dataclass(frozen=True)
@@ -223,11 +202,6 @@ class Lambda:
 
 
 @dataclass(frozen=True)
-class FnRef:
-    name: str
-
-
-@dataclass(frozen=True)
 class Call:
     name: str  # a key of SIGNATURES
     args: tuple  # one per argument kind: an AST, a rational, an int or (index, rational) pairs
@@ -245,14 +219,14 @@ class Assertion:
     expected: str
 
 
-@dataclass(frozen=True)
-class Bare:
-    expr: object
-
-
 # ------------------------------------------------------------------
 # Parser
 # ------------------------------------------------------------------
+
+# Binding power of the binary operators, all left-associative. Unary '-' binds
+# tighter than any of them, and '^' tighter still.
+_PRECEDENCE = {"PLUS": 1, "MINUS": 1, "STAR": 2}
+
 
 class _Parser:
     """Recursive descent over the statement grammar; one statement per call."""
@@ -262,8 +236,8 @@ class _Parser:
         self.pos = 0
         self.line = line
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # advance stops at EOF, the last token
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -271,11 +245,15 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def accept(self, kind: str, text: str | None = None) -> Token | None:
+        """Consume and return the next token if it has this kind (and text)."""
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            return self.advance()
+        return None
+
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(self.line, tok.col, what)
-        return self.advance()
+        return self.accept(kind) or self.fail(what)
 
     def fail(self, what: str):
         raise ExprSyntaxError(self.line, self.peek().col, what)
@@ -283,25 +261,24 @@ class _Parser:
     # -- statements --------------------------------------------------
 
     def statement(self):
+        """A Let, an Assertion, a command Call, or else the expression of a bare quantity."""
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "let":
-            self.advance()
+        if self.accept("IDENT", "let"):
             name = self.expect("IDENT", "a binding name").text
             if name in RESERVED:
                 raise ExprSyntaxError(self.line, tok.col, "a non-reserved binding name")
             self.expect("EQ", "'='")
-            node = Let(name, self.qexpr())
-        elif tok.kind == "IDENT" and tok.text == "assert":
-            self.advance()
+            node = Let(name, self.expr())
+        elif self.accept("IDENT", "assert"):
             if self.peek().text not in COMMANDS:
                 self.fail(f"a command ({', '.join(COMMANDS)})")
             inner = self.call()
             self.expect("EQEQ", "'=='")
             node = Assertion(inner, self.expected_token())
-        elif tok.kind == "IDENT" and tok.text in COMMANDS and self.peek(1).kind == "LPAREN":
+        elif tok.kind == "IDENT" and tok.text in COMMANDS and self.tokens[self.pos + 1].kind == "LPAREN":
             node = self.call()
         else:
-            node = Bare(self.qexpr())
+            node = self.expr()
         if self.peek().kind != "EOF":
             self.fail("end of statement")
         return node
@@ -316,24 +293,20 @@ class _Parser:
         if OVERRIDES in kinds and not args[-1]:
             self.fail("at least one index:value override")
         if START in kinds:  # an omitted ``from INT`` starts at 1
-            has_from = self.peek().text == "from"  # only an IDENT token has this text
-            if has_from:
-                self.advance()
-            args.append(self.integer("a start index >= 1", 1) if has_from else 1)
+            args.append(self.integer("a start index >= 1", 1) if self.accept("IDENT", "from") else 1)
         return Call(name, tuple(args))
 
     def argument(self, kind: str, first: bool):
         if kind == OVERRIDES:  # each entry brings its own comma
             entries = []
-            while self.peek().kind == "COMMA":
-                self.advance()
+            while self.accept("COMMA"):
                 idx = self.integer("a patch index >= 1", 1)
                 self.expect("COLON", "':'")
                 entries.append((idx, self.rational()))
             return tuple(entries)
         if not first:
             self.expect("COMMA", "','")
-        read = {QUANTITY: self.qexpr, TERM: lambda: self.sum("series", "k"), FUNCTION: self.fn,
+        read = {QUANTITY: self.expr, TERM: lambda: self.expr("series", "k"), FUNCTION: self.fn,
                 RATIONAL: self.rational, LENGTH: lambda: self.integer("a delay length >= 0", 0)}
         return read[kind]()
 
@@ -350,24 +323,21 @@ class _Parser:
 
     # -- quantity expressions ----------------------------------------
 
-    def qexpr(self):
-        return self.sum("quantity", None)
-
-    def sum(self, ctx: str, var: str | None):
-        node = self.product(ctx, var)
-        while self.peek().kind in ("PLUS", "MINUS"):
-            node = BinOp(self.advance().text, node, self.product(ctx, var))
-        return node
-
-    def product(self, ctx, var):
-        node = self.unary(ctx, var)
-        while self.peek().kind == "STAR":
-            node = BinOp(self.advance().text, node, self.unary(ctx, var))
-        return node
+    def expr(self, ctx: str = "quantity", var: str | None = None):
+        """Unary operands joined by + - *, reduced by _PRECEDENCE in one loop without recursion."""
+        operands, ops = [self.unary(ctx, var)], []
+        while True:
+            prec = _PRECEDENCE.get(self.peek().kind, 0)
+            while ops and ops[-1][0] >= prec:  # left-associative: reduce an equal level too
+                right = operands.pop()
+                operands[-1] = BinOp(ops.pop()[1], operands[-1], right)
+            if not prec:
+                return operands[0]
+            ops.append((prec, self.advance().text))
+            operands.append(self.unary(ctx, var))
 
     def unary(self, ctx, var):
-        if self.peek().kind == "MINUS":
-            self.advance()
+        if self.accept("MINUS"):
             return Neg(self.unary(ctx, var))
         return self.power(ctx, var)
 
@@ -382,23 +352,17 @@ class _Parser:
             self.advance()
             base = _fold_const(node)
             if base is None or base == 0:
-                raise ExprSyntaxError(
-                    self.line, caret.col, "a nonzero rational base for an exponential"
-                )
+                raise ExprSyntaxError(self.line, caret.col, "a nonzero rational base for an exponential")
             return ExpBase(base)
-        sign = 1
-        if tok.kind == "MINUS":
-            self.advance()
-            sign = -1
+        sign = -1 if self.accept("MINUS") else 1
         return Pow(node, sign * self.integer("an integer exponent", 0))
 
     def atom(self, ctx, var):
         tok = self.peek()
         if tok.kind == "NUM":
             return Num(self.rational())
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.sum(ctx, var)
+        if self.accept("LPAREN"):
+            node = self.expr(ctx, var)
             self.expect("RPAREN", "')'")
             return node
         if tok.kind != "IDENT":
@@ -418,16 +382,12 @@ class _Parser:
 
     def fn(self):
         tok = self.expect("IDENT", "a function name or a lambda")
-        if self.peek().kind == "ARROW":
-            self.advance()
-            return Lambda(tok.text, self.sum("lambda", tok.text))
-        return FnRef(tok.text)
+        if self.accept("ARROW"):
+            return Lambda(tok.text, self.expr("lambda", tok.text))
+        return Ref(tok.text)
 
     def rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "MINUS":
-            self.advance()
-            sign = -1
+        sign = -1 if self.accept("MINUS") else 1
         num = self.expect("NUM", "a number")
         value = self.convert(num, Fraction)  # decimal literals convert exactly
         if self.peek().kind == "SLASH":
@@ -460,21 +420,34 @@ class _Parser:
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _evaluate(node, leaf, power):
-    """Evaluate + - * and unary - with the value type's own operators.
+def _left_spine(node) -> tuple[list, object]:
+    """The BinOp and Neg nodes down the left of ``node``, outermost first, and the node below."""
+    spine = []
+    while isinstance(node, (BinOp, Neg)):
+        spine.append(node)
+        node = node.left if isinstance(node, BinOp) else node.operand
+    return spine, node
 
-    ``^INT`` calls ``power(value, exponent)``; every other node goes to ``leaf``.
+
+def _evaluate(node, leaf, power):
+    """Evaluate + - * and unary - with the value type's own operators, left operand first.
+
+    ``^INT`` calls ``power(value, exponent)``; every other node goes to ``leaf``. The left
+    spine is walked in a loop, so a flat chain like ``N+N+...+N`` costs no recursion.
     """
-    if isinstance(node, BinOp):
-        left, right = _evaluate(node.left, leaf, power), _evaluate(node.right, leaf, power)
-        return _BINOPS[node.op](left, right)
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, leaf, power)
+    spine, node = _left_spine(node)
     if isinstance(node, Pow):
         if abs(node.exponent) > MAX_POW:
             raise SeqRingError("exponent magnitude above 64", operation="pow")
-        return power(_evaluate(node.operand, leaf, power), node.exponent)
-    return leaf(node)
+        value = power(_evaluate(node.operand, leaf, power), node.exponent)
+    else:
+        value = leaf(node)
+    for outer in reversed(spine):
+        if isinstance(outer, Neg):
+            value = -value
+        else:
+            value = _BINOPS[outer.op](value, _evaluate(outer.right, leaf, power))
+    return value
 
 
 def _fold_const(node):
@@ -573,7 +546,7 @@ def _argument(kind: str, arg, env: dict):
 
 
 def _fn_object(node) -> RealFunction:
-    if isinstance(node, FnRef):
+    if isinstance(node, Ref):
         if node.name not in BUILTINS:
             raise SeqRingError(f"unknown function '{node.name}'", operation="execute")
         return BUILTINS[node.name]
@@ -586,15 +559,18 @@ def _fn_object(node) -> RealFunction:
 
 
 def _unparse(node) -> str:
+    """Lambda body text: each BinOp in parentheses, ``-x`` and ``x^INT``."""
+    spine, node = _left_spine(node)
     if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"-{_unparse(node.operand)}"
-    if isinstance(node, BinOp):
-        return f"({_unparse(node.left)} {node.op} {_unparse(node.right)})"
-    return f"{_unparse(node.operand)}^{node.exponent}"  # Pow
+        text = str(node.value)
+    elif isinstance(node, Var):
+        text = node.name
+    else:
+        text = f"{_unparse(node.operand)}^{node.exponent}"  # Pow
+    heads = "".join("-" if isinstance(outer, Neg) else "(" for outer in spine)
+    tails = "".join(f" {outer.op} {_unparse(outer.right)})" for outer in reversed(spine)
+                    if isinstance(outer, BinOp))
+    return heads + text + tails
 
 
 def _json_rat(x: Fraction) -> str:
@@ -616,14 +592,9 @@ def _estimate(est: StEstimate) -> tuple[dict, str]:
 def execute(node, env: dict, config: Config) -> Result:
     """Dispatch a parsed statement to the library; returns a renderable Result."""
     if isinstance(node, Let):
-        q = _eval_quantity(node.expr, env)
-        env[node.name] = q
+        env[node.name] = q = _eval_quantity(node.expr, env)
         rendering = q.render()
-        text = f"{node.name} = {rendering}"
-        return Result("let", {"name": node.name}, rendering, node.name, text)
-    if isinstance(node, Bare):
-        rendering = _eval_quantity(node.expr, env).render()
-        return Result("quantity", {}, rendering, rendering, rendering)
+        return Result("let", {"name": node.name}, rendering, node.name, f"{node.name} = {rendering}")
     if isinstance(node, Assertion):
         inner = execute(node.inner, env, config)
         ok = inner.token == node.expected and inner.token != "unknown"
@@ -632,8 +603,9 @@ def execute(node, env: dict, config: Config) -> Result:
         text = (f"assert passed: {inner.token}" if ok
                 else f"assert failed: expected {node.expected}, got {inner.token}")
         return Result("assert", fields, inner.rendering, verdict, text)
-    if not isinstance(node, Call) or node.name not in COMMANDS:
-        raise SeqRingError("unsupported statement", operation="execute")
+    if not isinstance(node, Call) or node.name not in COMMANDS:  # a bare quantity
+        rendering = _eval_quantity(node, env).render()
+        return Result("quantity", {}, rendering, rendering, rendering)
 
     # fields and text default to {"verdict": token} and the token itself.
     name, args, fields, text = node.name, _arguments(node, env), None, None
@@ -735,12 +707,11 @@ def repl(config: Config) -> int:
             print()
             return 0
         text = text.strip()
-        if not text:
-            continue
         if text in ("exit", "quit"):
             return 0
-        result, _ = run_statement(text, env, config)
-        print(format_json(result, config) if config.json_output else format_text(result))
+        if text:
+            result, _ = run_statement(text, env, config)
+            print(format_json(result, config) if config.json_output else format_text(result))
 
 
 def main(argv=None) -> int:
@@ -758,10 +729,14 @@ def main(argv=None) -> int:
         config = Config(horizon=args.horizon, tol=args.tol, window=args.window, json_output=args.json)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.batch:
+    if not args.batch:
+        return repl(config)
+    try:
         with open(args.batch, "r", encoding="utf-8") as handle:
-            return run_batch(handle.read().splitlines(), config)
-    return repl(config)
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read batch file {args.batch!r}: {exc}")
+    return run_batch(lines, config)
 
 
 if __name__ == "__main__":

@@ -280,3 +280,50 @@ def lazy_sqrt2() -> Quantity:
 
 # Continued-fraction convergent of sqrt(2); |sqrt(2) - p/q| < 1/q^2 ~ 4.5e-12.
 SQRT2_CONVERGENT = F(665857, 470832)
+
+
+REFERENCE_PUNCT = {
+    "->": "ARROW", "==": "EQEQ", "+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET",
+    "/": "SLASH", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", "=": "EQ",
+}
+
+
+def reference_tokens(src: str):
+    """Tokens ``(kind, text, col)`` of an expression-language line, or the column of the
+    first character that starts no token.
+
+    Steps through ``src`` one character at a time and uses nothing from seqring.
+    Space, tab, CR and LF separate tokens. A number is a run of ``str.isdecimal``
+    characters, optionally followed by '.' and another such run. A name starts with
+    a ``str.isalpha`` character or '_' and goes on with those and decimal digits.
+    The list ends with ``("EOF", "", len(src) + 1)``.
+    """
+    tokens, i = [], 0
+    while i < len(src):
+        ch = src[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        j = i + 1
+        if src[i : i + 2] in REFERENCE_PUNCT:
+            kind, j = REFERENCE_PUNCT[src[i : i + 2]], i + 2
+        elif ch in REFERENCE_PUNCT:
+            kind = REFERENCE_PUNCT[ch]
+        elif ch.isdecimal():
+            kind = "NUM"
+            while j < len(src) and src[j].isdecimal():
+                j += 1
+            if src[j : j + 1] == "." and src[j + 1 : j + 2].isdecimal():
+                j += 2
+                while j < len(src) and src[j].isdecimal():
+                    j += 1
+        elif ch.isalpha() or ch == "_":
+            kind = "IDENT"
+            while j < len(src) and (src[j].isalpha() or src[j].isdecimal() or src[j] == "_"):
+                j += 1
+        else:
+            return i + 1
+        tokens.append((kind, src[i:j], i + 1))
+        i = j
+    tokens.append(("EOF", "", len(src) + 1))
+    return tokens

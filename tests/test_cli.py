@@ -9,7 +9,6 @@ import pytest
 
 from seqring import ExprSyntaxError, Quantity
 from seqring.cli import (
-    Bare,
     Call,
     Config,
     Let,
@@ -55,9 +54,7 @@ def test_parse_let_and_reference():
 
 
 def test_parse_decimal_literals_exactly():
-    node = parse("0.5")
-    assert isinstance(node, Bare)
-    assert node.expr.value == F(1, 2)
+    assert parse("0.5").value == F(1, 2)
     result, code = run_one("st(0.125 + 0.375)")
     assert code == 0
     assert result.token == "1/2"

@@ -17,7 +17,9 @@ its own code. The last five lines came with the cap on patch indices and with
 number tokens of decimal digits only; ``2²`` and ``①`` were reported before
 as a literal of too many digits at 1:1. The four name lines after them came
 with names of letters, decimal digits and ``_`` only; before, ``N²`` and
-``N₂`` were unknown names (exit 2) and ``let x² = 1`` bound one.
+``N₂`` were unknown names (exit 2) and ``let x² = 1`` bound one. The five
+precedence lines at the end were captured from the implementation that parsed
+``+ -`` and ``*`` with one method each, before they shared one loop.
 """
 
 import dataclasses
@@ -212,6 +214,17 @@ GOLDEN = [
      '{"kind":"error","operation":"parse","message":"syntax error at 1:6: expected a valid token"}'),
     ('let x1 = N + 1', 0,
      '{"kind":"let","name":"x1","rendering":"1*n^1*1^n + 1*n^0*1^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    # Precedence: ^ binds tightest and applies once, then unary -, then *, then + and -.
+    ('-2^n', 0,
+     '{"kind":"quantity","rendering":"-1*n^0*2^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    ('-N^2', 0,
+     '{"kind":"quantity","rendering":"-1*n^2*1^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    ('2*-N', 0,
+     '{"kind":"quantity","rendering":"-2*n^1*1^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    ('N--N', 0,
+     '{"kind":"quantity","rendering":"2*n^1*1^n","config":{"horizon":10000,"tol":"1/1000000"}}'),
+    ('N^2^3', 1,
+     '{"kind":"error","operation":"parse","message":"syntax error at 1:4: expected end of statement"}'),
 ]
 
 # The text-mode line (format_text) of each statement above, from the same run.
@@ -304,11 +317,16 @@ TEXT = {
     'N₂': 'error in parse: syntax error at 1:2: expected a valid token',
     'let x² = 1': 'error in parse: syntax error at 1:6: expected a valid token',
     'let x1 = N + 1': 'x1 = 1*n^1*1^n + 1*n^0*1^n',
+    '-2^n': '-1*n^0*2^n',
+    '-N^2': '-1*n^2*1^n',
+    '2*-N': '-2*n^1*1^n',
+    'N--N': '2*n^1*1^n',
+    'N^2^3': 'error in parse: syntax error at 1:4: expected end of statement',
 }
 
 AST_TYPES = {
     cli.Num, cli.Var, cli.Ref, cli.BinOp, cli.Neg, cli.Pow, cli.ExpBase, cli.Lambda,
-    cli.FnRef, cli.Call, cli.Let, cli.Assertion, cli.Bare,
+    cli.Call, cli.Let, cli.Assertion,
 }
 
 

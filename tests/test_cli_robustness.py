@@ -4,8 +4,10 @@ import random
 import sys
 
 import pytest
+from helpers import reference_tokens
 
-from seqring.cli import Config, format_json, main, run_statement
+from seqring import ExprSyntaxError
+from seqring.cli import Config, _tokenize, format_json, format_text, main, run_statement
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -99,6 +101,50 @@ def test_digit_limit_on_outputs_is_unchanged():
     )
 
 
+def _cli_tokens(text):
+    try:
+        return [(tok.kind, tok.text, tok.col) for tok in _tokenize(text, 1)]
+    except ExprSyntaxError as exc:
+        return exc.column
+
+
+def test_every_bmp_character_tokenizes_like_the_reference():
+    for code in range(0x10000):
+        ch = chr(code)
+        for text in (ch, "N" + ch, "1" + ch):
+            assert _cli_tokens(text) == reference_tokens(text), hex(code)
+
+
+CHAIN = 5000
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("+".join(["N"] * CHAIN), "5000*n^1*1^n"),
+        ("*".join(["1"] * CHAIN), "1*n^0*1^n"),
+        (f"series({'+'.join(['k'] * CHAIN)})", "2500*n^2*1^n + 2500*n^1*1^n"),
+        # The function's name is the lambda's text, written out by the same loop.
+        (f"deriv(x -> {'+'.join(['x'] * CHAIN)}, 1)", "estimate 5000 (~5000, spread 0)"),
+        # The base is folded to a constant while parsing.
+        (f"({'+'.join(['1'] * CHAIN)})^n", "1*n^0*5000^n"),
+    ],
+    ids=["sum", "product", "series", "lambda", "exponential-base"],
+)
+def test_a_flat_operator_chain_of_any_length_evaluates(text, expected):
+    result, code = run_statement(text, {}, Config())
+    assert (code, format_text(result)) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * CHAIN + "N" + ")" * CHAIN, "-" * CHAIN + "N"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_nesting_past_the_recursion_limit_is_a_parse_error(text):
+    assert run_one(text) == (parse_error_at(1, "shallower nesting"), 1)
+
+
 def test_fuzz_with_zero_denominators_and_long_literals():
     rng = random.Random(2024)
     vocab = [
@@ -131,6 +177,19 @@ def test_out_of_range_horizon_or_window_is_a_usage_error(tmp_path, capsys, optio
     out, err = capsys.readouterr()
     assert out == ""  # rejected before any statement runs
     assert err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe1 + 1\n"], ids=["missing", "not-utf-8"])
+def test_an_unreadable_batch_file_is_a_usage_error(tmp_path, capsys, content):
+    batch = tmp_path / "batch.txt"
+    if content is not None:
+        batch.write_bytes(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--json", "--batch", str(batch)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before any statement runs
+    assert f"error: cannot read batch file {str(batch)!r}: " in err
 
 
 def test_window_equal_to_the_horizon_is_accepted(tmp_path, capsys):

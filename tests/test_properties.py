@@ -1,4 +1,4 @@
-"""Property tests: the product law, parse/render round-trips, and order and text against a reference.
+"""Property tests: the product law, parse/render round-trips, order, text and tokens against a reference.
 
 They need ``hypothesis``, which seqring does not depend on, and are skipped
 without it.
@@ -10,12 +10,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from helpers import naive_product, naive_value, reference_items, reference_render
+from helpers import naive_product, naive_value, reference_items, reference_render, reference_tokens
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqring import ExpPoly, Quantity, patch
-from seqring.cli import Config, run_statement
+from seqring import ExpPoly, ExprSyntaxError, Quantity, patch
+from seqring.cli import Config, _tokenize, run_statement
 
 # Products of these bases include 1 and -1 (2 * 1/2, -2 * -1/2).
 BASES = [F(1), F(-1), F(2), F(1, 2), F(-2), F(-1, 2), F(3), F(2, 3), F(-3, 4)]
@@ -92,3 +92,26 @@ def test_order_and_text_match_the_reference(xs, ys):
     ):
         assert form.items() == reference_items(pairs)
         assert form.render() == reference_render(pairs)
+
+
+# Characters on which str.isalpha, str.isdecimal and re's \w and \d part ways
+# ('²' and '①' are digits but not decimal, '½' and 'Ⅷ' numeric, U+0301 neither),
+# whitespace the language does not skip, and the two-character punctuation.
+TOKEN_PIECES = [
+    "N", "n", "x", "_", "1", "7", " ", "\t", "\r", "\n", ".", "+", "-", "*", "^", "/", "(", ")",
+    ",", ":", "=", ">", "@", "²", "₂", "①", "٣", "½", "Ⅷ", "é", "ß", "\u0301", "\xa0", "\x0b",
+    "->", "==", "1.",
+]
+
+
+def _cli_tokens(text):
+    try:
+        return [(tok.kind, tok.text, tok.col) for tok in _tokenize(text, 1)]
+    except ExprSyntaxError as exc:
+        return exc.column
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join))
+def test_tokens_match_the_reference(text):
+    assert _cli_tokens(text) == reference_tokens(text)
