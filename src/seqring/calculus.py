@@ -120,7 +120,7 @@ def standard_part(
         if kind not in ("zero", "infinitesimal", "finite"):
             raise NotFinite(f"no standard part: quantity is {kind}")
         return q.body.coeff(1, 0)
-    check_horizon(horizon, window)
+    horizon, window = check_horizon(horizon, window)
     samples = sorted(map(values(q), range(horizon - window + 1, horizon + 1)))
     mid = len(samples) // 2
     if len(samples) % 2:
@@ -219,7 +219,7 @@ def continuity_probe(
     is a failure with that index as witness.  The smallest witness across
     probes is reported.  Needs 1 <= window <= horizon (ValueError otherwise).
     """
-    check_horizon(horizon, window)
+    horizon, window = check_horizon(horizon, window)
     x = Fraction(x)
     if probes is None:
         probes = default_probes()
@@ -247,7 +247,7 @@ def uniform_continuity_probe(
     like (n) and (n + 1/n) expose non-uniformity at infinity.  Needs
     1 <= window <= horizon (ValueError otherwise).
     """
-    check_horizon(horizon, window)
+    horizon, window = check_horizon(horizon, window)
     near = infinitely_close(x_seq, y_seq, horizon)
     if near is False or (isinstance(near, Verdict) and near.status == "fails"):
         raise NotInfinitelyClose("input sequences are not infinitely close")

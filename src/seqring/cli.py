@@ -487,7 +487,9 @@ class Config:
     json_output: bool = False
 
     def __post_init__(self):
-        check_horizon(self.horizon, self.window)
+        horizon, window = check_horizon(self.horizon, self.window)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "window", window)
 
 
 @dataclass

@@ -120,12 +120,19 @@ def compare(q1: Quantity, q2: Quantity) -> Comparison:
     return Comparison.INCOMPARABLE
 
 
-def check_horizon(horizon: int, window: int = 1) -> None:
-    """Reject, before any index is evaluated, a horizon below 1 or a window outside 1..horizon."""
+def check_horizon(horizon: int, window: int = 1) -> tuple[int, int]:
+    """(horizon, window) as ints, checked before any index is evaluated.
+
+    A non-integer is a TypeError (``operator.index``; a bool counts as its
+    int), and a horizon below 1 or a window outside 1..horizon a ValueError.
+    Callers scan with the returned ints.
+    """
+    horizon, window = operator.index(horizon), operator.index(window)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not 1 <= window <= horizon:
         raise ValueError("window must be between 1 and the horizon")
+    return horizon, window
 
 
 def first_checked_index(horizon: int) -> int:
@@ -152,7 +159,7 @@ def compare_lazy(
     The first ceil(horizon/10) indices are exempt; a violation past the
     exemption window yields Fails with the smallest violating index.
     """
-    check_horizon(horizon)
+    horizon, _ = check_horizon(horizon)
     if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
     ok, read = _CLAIMS[claim], reader(q1, q2)
@@ -188,7 +195,7 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """
     if q.is_closed:
         return all(_term_vanishes(base, power) for (base, power), _ in q.body.items())
-    check_horizon(horizon)
+    horizon, _ = check_horizon(horizon)
     k, read = _probe_k(horizon), reader(q)
 
     def small_at(n: int) -> bool:
@@ -219,7 +226,7 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """
     if q.is_closed:
         return _great_sign(q.body.leads())
-    check_horizon(horizon)
+    horizon, _ = check_horizon(horizon)
     bound, read = _probe_k(horizon), reader(q)
     direction = _sign(read(horizon)[0][0])
     if direction == 0:
@@ -303,7 +310,7 @@ def classify_lazy(
     """
     if q.is_closed:
         return classify(q)
-    check_horizon(horizon, window)
+    horizon, window = check_horizon(horizon, window)
     value = values(q)
     tail = [value(n) for n in range(horizon - window + 1, horizon + 1)]
     # This early window starts at horizon // 10, inside the exempt prefix, not

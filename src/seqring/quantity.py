@@ -18,8 +18,11 @@ and ``calculus.extend`` builds "apply" nodes.  Nodes hold no evaluation
 state.  ``reader`` compiles DAGs once into slots, one per node and index
 offset, and evaluates each slot once per index as an unnormalized integer
 pair (num, den) with den > 0, so no intermediate value pays a gcd; each
-closed form in it steps from one index to the next.  ``values`` turns the
-pairs into Fractions, and the lazy scans in ``order`` compare them by sign.
+closed form in it steps from one index to the next on integers alone
+(``ExpPoly._advance``), so a scan over closed forms builds no Fraction per
+index.  The lazy scans in ``order`` compare the pairs by sign.  Only the
+public boundary reduces a value to a Fraction: ``ExpPoly.value_at``,
+``values`` and ``eval_at``.
 
 ``ExpPoly`` keeps a closed form on integers: each base as a reduced
 (num, den) pair and each coefficient as an integer numerator over one
@@ -175,44 +178,61 @@ class ExpPoly:
         """Exact value at index n >= 1.
 
         The value is written as S(n) * I(n) / n**K, where
-        S(n) = (g/D) * (G/Q)**n is a Fraction, I(n) = sum a_i * r_i**n * n**(k_i + K)
+        S(n) = (g * G**n) / (D * Q**n), I(n) = sum a_i * r_i**n * n**(k_i + K)
         is an integer, and K is the largest negative power.  D is the stored
         common denominator and Q the lcm of the base denominators; g and G
         are the gcds of the numerators over them, which a_i and r_i are
-        divided by.  Each index multiplies S(n) by I(n) / n**K, and
-        ``Fraction``'s gcds meet a small operand unless I(n) and the
-        denominator of S(n) are both large, which takes several bases.  With
-        one base I(n) stays small, so a large coefficient or index costs no
-        gcd of two large integers.
+        divided by.  gcd(g, D) = 1 because D is reduced, and gcd(G, Q) = 1
+        because a prime that divides Q divides some base denominator to its
+        full power in Q, so (G/Q)**n is reduced with no gcd.
 
-        This is one read, computed with ``pow``.  The body keeps no state: a
-        loop over consecutive indices reads through ``values`` or ``reader``,
-        which step each r_i**n and S(n) by one multiplication per index.
+        A ``reader`` keeps S(n) as the unreduced integer pair
+        (s_num, s_den) = (g * G**n, D * Q**n).  This read instead steps the
+        body with its scale left out (``_origin``) and builds S(n) as the
+        reduced Fraction (g/D) * (G/Q)**n, one ``pow``, which is then
+        multiplied by I(n) / n**K.  ``Fraction``'s gcds there meet a small
+        operand unless I(n) and Q**n are both large, which takes several
+        bases.  With one base I(n) stays small, so a large coefficient or
+        index costs no gcd of two large integers.  The body keeps no state:
+        a loop over consecutive indices reads through ``values`` or
+        ``reader``, which step each r_i**n and S(n) by one multiplication
+        per index.
         """
         n = _index(n)
-        return _value(self._advance(n, None))
+        (g, d, big_g, q), origin = self._origin()
+        return _value(self._advance(n, origin), Fraction(g, d) * Fraction(big_g, q) ** n)
 
     def _advance(self, n: int, memo: tuple | None) -> tuple:
-        # (n, S(n), I(n), (r_i**n per term), plan), stepped from memo when it holds n - 1.
+        # (n, s_num, s_den, I(n), (r_i**n per term), plan): see value_at.
+        # Stepped from memo when it holds n - 1, by one integer multiplication
+        # each, else restarted with pow.  A plan with G = Q = 1 keeps the
+        # scale as it is.
         if memo is None:
             plan, stepping = self._plan(), False
         else:
-            plan, stepping = memo[4], memo[0] + 1 == n
-        scale0, step, _, terms = plan
+            plan, stepping = memo[5], memo[0] + 1 == n
+        g, d, big_g, q, _, terms = plan
         if stepping:
-            powers = tuple([s * r for s, (_, r, _) in zip(memo[3], terms)])
+            powers = tuple([s * r for s, (_, r, _) in zip(memo[4], terms)])
+            s_num, s_den = memo[1], memo[2]
+            if big_g != q:  # G and Q are coprime: equal only when both are 1
+                s_num, s_den = s_num * big_g, s_den * q
         else:
             powers = tuple([r**n for _, r, _ in terms])
-        if step is None:
-            scale = scale0
-        elif stepping:
-            scale = memo[1] * step
-        else:
-            scale = scale0 * step**n
+            s_num, s_den = (g * big_g**n, d * q**n) if big_g != q else (g, d)
         inner = 0
         for s, (a, _, k) in zip(powers, terms):
             inner += a * s * n**k if k else a * s
-        return n, scale, inner, powers, plan
+        return n, s_num, s_den, inner, powers, plan
+
+    def _origin(self) -> tuple[tuple[int, int, int, int], tuple]:
+        # ((g, D, G, Q), the ``_advance`` memo at index 0 of a plan with
+        # g = D = G = Q = 1): for a read that keeps S(n) as a reduced Fraction
+        # itself, so the body steps only its powers and I(n).  Every power is
+        # 1 at index 0, so a read at 1 steps and any other index restarts.
+        g, d, big_g, q, k_shift, terms = self._plan()
+        inner = sum(a for a, _, k in terms if not k)
+        return (g, d, big_g, q), (0, 1, 1, inner, (1,) * len(terms), (1, 1, 1, 1, k_shift, terms))
 
     def fingerprint(self) -> Callable[[int], int | None]:
         """n -> value_at(n) mod P for the prime P = 2**61 - 1, or None where undefined.
@@ -352,13 +372,13 @@ class ExpPoly:
         # The t in 0..window - 1 where I(t) = 0: the exact scan of ``zeros``.
         ts = range(window)
         columns = []  # per term: a_i * r_i**t * t**k_i for t in ts
-        for a, r, k in self._plan()[3]:
+        for a, r, k in self._plan()[5]:
             column = accumulate(repeat(r, window - 1), operator.mul, initial=a)
             columns.append(map(operator.mul, column, map(pow, ts, repeat(k))) if k else column)
         return list(compress(ts, map(operator.not_, map(sum, zip(*columns)))))
 
-    def _plan(self) -> tuple[Fraction, Fraction | None, int, tuple[tuple[int, int, int], ...]]:
-        # (g/D, G/Q or None when it is 1, K, ((a_i, r_i, k_i + K) per term)): see value_at.
+    def _plan(self) -> tuple[int, int, int, int, int, tuple[tuple[int, int, int], ...]]:
+        # (g, D, G, Q, K, ((a_i, r_i, k_i + K) per term)), all integers: see value_at.
         coeffs = self._coeffs
         nums = list(coeffs.values())
         q = lcm(*[den for _, den, _ in coeffs])
@@ -368,7 +388,7 @@ class ExpPoly:
         terms = tuple(
             (a // g, r // big_g, k + k_shift) for a, r, (_, _, k) in zip(nums, ratios, coeffs)
         )
-        return Fraction(g, self._den), Fraction(big_g, q) if big_g != q else None, k_shift, terms
+        return g, self._den, big_g, q, k_shift, terms
 
     def scale(self, r) -> "ExpPoly":
         r = _rat(r)
@@ -486,9 +506,11 @@ def _integer_terms(pairs: Iterable) -> tuple[dict[Key, int], int]:
     return {key: c.numerator * (d // c.denominator) for key, c in cleaned.items()}, d
 
 
-def _value(memo: tuple) -> Fraction:
-    # S(n) * I(n) / n**K from an ``_advance`` memo: see ExpPoly.value_at.
-    n, scale, inner, _, (_, _, k_shift, _) = memo
+def _value(memo: tuple, scale: Fraction) -> Fraction:
+    # S(n) * I(n) / n**K from an ``_advance`` memo and S(n) as a reduced
+    # Fraction ``scale``: see ExpPoly.value_at.
+    n, _, _, inner, _, plan = memo
+    k_shift = plan[4]
     return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
 
 
@@ -563,8 +585,9 @@ class LazySeq:
     def _describe(self, parts: list[str]) -> str:
         # This node's text around its operands' texts ``parts``.
         op, data = self.op, self.data
-        if op == "leaf":
-            return data.body.render()
+        if op == "leaf":  # the closed form's own text, patch included, bracketed unless one term
+            text = data.render()
+            return f"({text})" if len(data.body._coeffs) > 1 or data.patch else text
         if op == "opaque":
             return data[1]
         if op == "apply":
@@ -772,10 +795,10 @@ def as_node(q: Quantity) -> LazySeq:
     return q.seq if q.seq is not None else LazySeq("leaf", (), q)
 
 
-def _stepper(body: ExpPoly) -> Callable[[int], tuple]:
+def _stepper(body: ExpPoly, memo: tuple | None = None) -> Callable[[int], tuple]:
     # i -> body's ``_advance`` memo at i >= 1: the last one when it holds i,
     # else the last one stepped when it holds i - 1, else a restart with pow.
-    memo = None
+    # The first read starts from ``memo`` when given, else from body's plan.
 
     def at(i: int) -> tuple:
         nonlocal memo
@@ -827,9 +850,10 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
                     return v.numerator, v.denominator
                 if n <= offset:
                     return 0, 1
-                # (S.numerator * I(i), S.denominator * i**K) in the terms of value_at, with no gcd.
-                i, scale, inner, _, (_, _, k, _) = at(n - offset)
-                return scale.numerator * inner, (scale.denominator * i**k if k else scale.denominator)
+                # (s_num * I(i), s_den * i**K) in the terms of value_at: integers, with no gcd.
+                i, s_num, s_den, inner, _, plan = at(n - offset)
+                k = plan[4]
+                return s_num * inner, (s_den * i**k if k else s_den)
 
         elif op in ("opaque", "apply"):
             fn = data[0]
@@ -875,14 +899,30 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
 def values(q: Quantity) -> Callable[[int], Fraction]:
     """n -> q's exact value at n >= 1 as a Fraction, for loops over indices.
 
-    A lazy q is read through one ``reader``.  A closed q steps its body as a
-    reader does but builds each value as ``ExpPoly.value_at`` does: reducing
-    the pair of a body over several bases pays a gcd of two large integers.
-    An evaluator's Fraction is reduced already and is returned as it is.
+    A lazy q is read through one ``reader``.  A closed q steps its body as
+    ``ExpPoly.value_at`` reads it, with the scale left out, from index 0,
+    and keeps S(n) here as a reduced Fraction: multiplied by G/Q when the
+    body steps, and (g/D) * (G/Q)**n, one ``pow``, when it restarts.
+    Reducing the value of a body over several bases pays a gcd of two large
+    integers.  An evaluator's Fraction is reduced already and is returned
+    as it is.
     """
     if q.is_closed:
-        at, patch = _stepper(q.body), q.patch
-        value = lambda n: patch[n] if n in patch else _value(at(n))
+        (g, d, big_g, big_q), last = q.body._origin()
+        at, patch = _stepper(q.body, last), q.patch
+        scale = start = Fraction(g, d)  # S(0)
+        ratio = Fraction(big_g, big_q) if big_g != big_q else None
+
+        def value(n: int) -> Fraction:
+            nonlocal last, scale
+            if n in patch:
+                return patch[n]
+            memo = at(n)
+            if ratio is not None and memo is not last:  # else S(n) = g/D at every n
+                scale = scale * ratio if memo[0] == last[0] + 1 else start * ratio**n
+                last = memo
+            return _value(memo, scale)
+
     elif q.seq.op == "opaque":
         value = lambda n: _rat(q.seq.data[0](n))
     else:

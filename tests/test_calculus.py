@@ -130,6 +130,24 @@ def test_continuity_probes_reject_their_window_before_evaluating(horizon, window
     assert continuity_probe(affine, 0, [probe], 10, window=10).status == "fails"
 
 
+@pytest.mark.parametrize("horizon, window", [(100.5, 10), (100.0, 10), (100, 10.0), (F(100), 10)])
+def test_lazy_probes_reject_a_non_integer_horizon_or_window_before_evaluating(horizon, window):
+    evaluated = []
+
+    def recording(values):
+        return Quantity.lazy(lambda n: evaluated.append(n) or values(n), "recording")
+
+    affine = RealFunction("affine", lambda x: 2 * x + 1)
+    probe, xs, ys = recording(lambda n: F(1, n)), recording(lambda n: F(n)), recording(lambda n: n + F(1, n))
+    with pytest.raises(TypeError):
+        standard_part(probe, horizon, window)
+    with pytest.raises(TypeError):
+        continuity_probe(affine, 0, [probe], horizon, window=window)
+    with pytest.raises(TypeError):
+        uniform_continuity_probe(affine, xs, ys, horizon, window=window)
+    assert evaluated == []
+
+
 def test_standard_part_sqrt2_estimate():
     # oracle: continued-fraction convergent 665857/470832, error below 1e-11
     est = standard_part(lazy_sqrt2())

@@ -300,3 +300,11 @@ def test_config_rejects_an_out_of_range_horizon_or_window(options, message):
     config = Config(horizon=10, window=10)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.horizon = 0
+
+
+def test_config_keeps_its_horizon_and_window_as_ints():
+    config = Config(horizon=True, window=True)
+    assert (config.horizon, config.window) == (1, 1)
+    assert type(config.horizon) is type(config.window) is int
+    with pytest.raises(TypeError):
+        Config(horizon=100.5)

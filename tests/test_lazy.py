@@ -317,6 +317,27 @@ def test_one_body_read_at_three_offsets_restarts_once_per_offset(monkeypatch):
     assert steps.count(False) == 3
 
 
+def test_a_closed_leaf_scan_builds_no_fraction_per_index(monkeypatch):
+    # A closed form steps and restarts its scale and powers on integers, so
+    # a scan over closed leaves builds no Fraction at any horizon.  Python
+    # 3.12 and later build the results of Fraction arithmetic through
+    # _from_coprime_ints, not __new__.
+    x = Quantity.closed(ExpPoly({(F(3, 2), 1): F(1), (F(2, 3), 0): F(5, 7), (F(-1, 2), 2): F(1, 3)}))
+    built = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(lambda cls, *args, **kw: built.append(1) or new(cls, *args, **kw)))
+    coprime = getattr(F, "_from_coprime_ints", None)
+    if coprime is not None:
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(lambda cls, n, d: built.append(1) or coprime(n, d)))
+    counts = []
+    for h in (300, 3000):
+        y = x.as_lazy()
+        built.clear()
+        assert compare_lazy(y, add(delay(y, 1), y), Comparison.LESS, h).status == "holds"
+        counts.append(len(built))
+    assert counts == [0, 0]
+
+
 def test_delays_of_one_body_keep_at_most_two_memos():
     # One body read at one index under 200 delays; the body itself holds only
     # its integer coefficients and their common denominator, so no read
@@ -330,17 +351,18 @@ def test_delays_of_one_body_keep_at_most_two_memos():
 
 def test_lazy_descriptions_render_the_dag():
     # Captured from the closure implementation, which built each description
-    # as a string at construction time.
+    # as a string at construction time.  A leaf prints its closed form's own
+    # text, patch included, in brackets unless it is one term.
     P = Quantity.closed(ExpPoly({(F(1), 2): F(1, 2), (F(1), 1): F(1, 2)}))
     L = N.as_lazy()
     R = Quantity.lazy(lambda n: F(1, n), "1/n")
     sine = RealFunction("sin", lambda x: x)
     cases = [
         (L, "lazy(1*n^1*1^n)"),
-        (Quantity.closed(P.body, {1: F(5)}).as_lazy(), "lazy(1/2*n^2*1^n + 1/2*n^1*1^n)"),
-        (add(L, P), "lazy((1*n^1*1^n + 1/2*n^2*1^n + 1/2*n^1*1^n))"),
-        (sub(L, P), "lazy((1*n^1*1^n + -1/2*n^2*1^n - 1/2*n^1*1^n))"),
-        (sub(P, R), "lazy((1/2*n^2*1^n + 1/2*n^1*1^n + -(1/n)))"),
+        (Quantity.closed(P.body, {1: F(5)}).as_lazy(), "lazy((patch(1/2*n^2*1^n + 1/2*n^1*1^n, 1:5)))"),
+        (add(L, P), "lazy((1*n^1*1^n + (1/2*n^2*1^n + 1/2*n^1*1^n)))"),
+        (sub(L, P), "lazy((1*n^1*1^n + (-1/2*n^2*1^n - 1/2*n^1*1^n)))"),
+        (sub(P, R), "lazy(((1/2*n^2*1^n + 1/2*n^1*1^n) + -(1/n)))"),
         (mul(R, F(-3, 4)), "lazy((1/n * -3/4*n^0*1^n))"),
         (neg(neg(L)), "lazy(-(-(1*n^1*1^n)))"),
         (delay(delay(L, 2), 3), "lazy(delay(delay(1*n^1*1^n, 2), 3))"),
@@ -353,6 +375,15 @@ def test_lazy_descriptions_render_the_dag():
     for q, text in cases:
         assert q.render() == text
         assert q.description == text[len("lazy("):-1]
+
+
+def test_a_patched_leaf_describes_its_patch():
+    # x * x and patch(x, 1:5) * x differ at n = 1 (4 and 10), so their texts differ too.
+    x = add(N, 1)
+    patched, plain = mul(patch(x, {1: F(5)}).as_lazy(), x), mul(x.as_lazy(), x)
+    assert (eval_at(patched, 1), eval_at(plain, 1)) == (10, 4)
+    assert plain.render() == "lazy(((1*n^1*1^n + 1*n^0*1^n) * (1*n^1*1^n + 1*n^0*1^n)))"
+    assert patched.render() == "lazy(((patch(1*n^1*1^n + 1*n^0*1^n, 1:5)) * (1*n^1*1^n + 1*n^0*1^n)))"
 
 
 def test_a_dag_5000_deep_scans_and_renders():

@@ -239,6 +239,45 @@ def test_classify_lazy_rejects_its_window_before_evaluating(horizon, window, mes
     assert classify_lazy(zero, 10, 10).kind == "zero"  # the whole horizon is a window
 
 
+# Each lazy scan of order, called on one lazy q at a horizon.
+LAZY_SCANS = {
+    "compare_lazy": lambda q, horizon: compare_lazy(q, N.as_lazy(), Comparison.LESS, horizon),
+    "is_infinitely_small": lambda q, horizon: is_infinitely_small(q, horizon),
+    "is_infinitely_great": lambda q, horizon: is_infinitely_great(q, horizon),
+    "infinitely_close": lambda q, horizon: infinitely_close(q, N.as_lazy(), horizon),
+    "classify_lazy": lambda q, horizon: classify_lazy(q, horizon, 1),
+}
+
+
+@pytest.mark.parametrize("scan", LAZY_SCANS)
+@pytest.mark.parametrize("horizon", [100.5, 100.0, F(100), "100"])
+def test_lazy_scans_reject_a_non_integer_horizon_before_evaluating(scan, horizon):
+    evaluated = []
+    q = Quantity.lazy(lambda n: evaluated.append(n) or F(1, n), "1/n")
+    with pytest.raises(TypeError):
+        LAZY_SCANS[scan](q, horizon)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("window", [10.0, 2.5, F(10)])
+def test_classify_lazy_rejects_a_non_integer_window_before_evaluating(window):
+    evaluated = []
+    q = Quantity.lazy(lambda n: evaluated.append(n) or F(1, n), "1/n")
+    with pytest.raises(TypeError):
+        classify_lazy(q, 100, window)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("scan", LAZY_SCANS)
+def test_lazy_scans_read_a_bool_horizon_as_its_int(scan):
+    q = Quantity.lazy(lambda n: F(1, n), "1/n")
+    got = LAZY_SCANS[scan](q, True)
+    assert got == LAZY_SCANS[scan](q, 1)
+    for field in ("checked_up_to", "horizon"):
+        if getattr(got, field, None) is not None:
+            assert type(getattr(got, field)) is int
+
+
 def test_identity_is_infinitely_great():
     assert is_infinitely_great(N) == 1
 

@@ -1,7 +1,7 @@
-"""Property tests: the product law, parse/render round-trips, order, text and tokens against a reference.
+"""Property tests: the product law, parse/render round-trips, order, text, stepped values and tokens against a reference.
 
-They need ``hypothesis``, which seqring does not depend on, and are skipped
-without it.
+They need ``hypothesis``, which the ``test`` extra of ``pyproject.toml``
+installs (``pip install -e '.[test]'``); without it they are skipped.
 """
 
 from fractions import Fraction as F
@@ -14,8 +14,9 @@ from helpers import naive_product, naive_value, reference_items, reference_rende
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqring import ExpPoly, ExprSyntaxError, Quantity, patch
+from seqring import ExpPoly, ExprSyntaxError, Quantity, delay, eval_at, patch
 from seqring.cli import Config, _tokenize, run_statement
+from seqring.quantity import reader, values
 
 # Products of these bases include 1 and -1 (2 * 1/2, -2 * -1/2).
 BASES = [F(1), F(-1), F(2), F(1, 2), F(-2), F(-1, 2), F(3), F(2, 3), F(-3, 4)]
@@ -92,6 +93,43 @@ def test_order_and_text_match_the_reference(xs, ys):
     ):
         assert form.items() == reference_items(pairs)
         assert form.render() == reference_render(pairs)
+
+
+# Bases whose denominators mix (3/7, -2/3, 3/2, -1/2), so a closed form's
+# scale steps on its numerator and its denominator, and integer bases (2, 1),
+# where it steps on one of them or on neither.
+STEP_BASES = [F(3, 7), F(-2, 3), F(3, 2), F(-1, 2), F(2), F(1)]
+step_forms = st.dictionaries(
+    st.tuples(st.sampled_from(STEP_BASES), st.integers(-2, 3)), nonzero, max_size=4
+).map(ExpPoly)
+step_patches = st.dictionaries(st.integers(1, 80), rationals, max_size=3)
+# Runs of consecutive indices (start, length); the jumps between runs go
+# either way and may repeat an index.
+index_runs = st.lists(st.tuples(st.integers(1, 80), st.integers(1, 6)), min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(step_forms, step_patches, index_runs, st.integers(1, 5))
+def test_stepped_values_reduce_to_the_naive_value(body, entries, runs, m):
+    # A closed form read through the stepping paths, in one access order,
+    # against naive_value or the override: reader pairs at offsets 0 and m
+    # (a patched and a plain leaf share offset 0's memo), values, value_at
+    # and eval_at.
+    q = patch(Quantity.closed(body), entries)
+    plain = Quantity.closed(body).as_lazy()
+    read = reader(q.as_lazy(), plain, delay(plain, m))
+    value = values(q)
+
+    def want(n: int) -> F:
+        return entries[n] if n in entries else naive_value(body, n)
+
+    for n in [start + i for start, length in runs for i in range(length)]:
+        pairs = read(n)
+        assert all(den > 0 for _, den in pairs)
+        lagged = naive_value(body, n - m) if n > m else 0
+        assert [F(*pair) for pair in pairs] == [want(n), naive_value(body, n), lagged], n
+        assert value(n) == eval_at(q, n) == want(n), n
+        assert body.value_at(n) == naive_value(body, n), n
 
 
 # Characters on which str.isalpha, str.isdecimal and re's \w and \d part ways

@@ -207,6 +207,24 @@ def test_value_at_memo_is_invisible():
     assert repr(e) == repr(twin)
 
 
+def test_values_raise_the_scale_to_a_power_only_on_a_restart(monkeypatch):
+    # values steps its reduced scale by one multiplication per index, from
+    # index 0 on, and value_at takes it from one power: each restart costs
+    # one Fraction power, and a read of index 1 or a repeated read none.
+    e = ExpPoly({(F(3, 7), 0): F(1), (F(-2, 3), 1): F(5, 2), (F(1, 2), -1): F(-1, 3)})
+    reads = list(range(1, 201)) + [200] + list(range(50, 61))
+    expected = [naive_value(e, n) for n in reads]
+    powers = []
+    power = F.__pow__
+    monkeypatch.setattr(F, "__pow__", lambda a, b, *rest: powers.append(b) or power(a, b, *rest))
+    value = values(Quantity.closed(e))
+    assert [value(n) for n in reads] == expected
+    assert powers == [50]
+    powers.clear()
+    assert e.value_at(100000) == ExpPoly(dict(e.items())).value_at(100000)
+    assert powers == [100000, 100000]
+
+
 # ------------------------------------------------------------------
 # add / neg / mul
 # ------------------------------------------------------------------
