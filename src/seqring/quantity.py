@@ -29,12 +29,20 @@ public boundary reduces a value to a Fraction: ``ExpPoly.value_at``,
 common denominator, so its arithmetic, order, hashing and text work on
 integers.  Fractions are only what its public methods take and give.
 
+A zero prefix (``delay``, ``series ... from``) holds one shared ``_ZERO`` at
+each of its m indices, and ``Quantity.render`` cuts those entries from
+fixed templates of one block of 1000 indices: "1:0, " .. "999:0, ", and
+"#000:0, " .. "#999:0, " with "#" replaced by the block number p, so one
+``str`` per 1000 indices, not one per index.  A block with no hole is one
+slice of its template; a block with holes picks its entries by index.
+
 All values are immutable after construction; lazy evaluators must be pure.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
@@ -73,6 +81,32 @@ _P = (1 << 61) - 1
 # find runs of them by identity.  A speed path only: any other zero prints
 # the same text.
 _ZERO = Fraction(0)
+
+# The text templates of zero entries (``_zero_run``), one entry per index
+# in a block of 1000: "i:0, " for i < 1000 (the entry at 0 is never read),
+# and "#jjj:0, " for the index p * 1000 + j of a block p >= 1, whose "#"
+# becomes str(p).
+_SMALL = tuple(f"{i}:0, " for i in range(1000))
+_BLOCK = tuple(f"#{j:03d}:0, " for j in range(1000))
+
+
+def _zero_run(keys: list[int], s: int, e: int, out: list[str]) -> None:
+    # Appends the entries "i:0, " of the sorted keys[s:e] to out, one piece
+    # per block of 1000 indices, from the block's template.  The block's
+    # keys keys[s:t] have no hole exactly when keys[t - 1] - keys[s] == t - 1 - s,
+    # and are then one slice of it; else each key picks its entry.  A block
+    # p >= 1 makes one str(p).
+    while s < e:
+        p = keys[s] // 1000
+        t = bisect_left(keys, 1000 * p + 1000, s, e)
+        base, template = 1000 * p, (_BLOCK if p else _SMALL)
+        lo, hi = keys[s] - base, keys[t - 1] - base
+        if hi - lo == t - 1 - s:
+            text = "".join(template[lo : hi + 1])
+        else:
+            text = "".join(map(template.__getitem__, map(operator.sub, keys[s:t], repeat(base))))
+        out.append(text.replace("#", str(p)) if p else text)
+        s = t
 
 
 def _residue(num: int, den: int) -> int | None:
@@ -743,27 +777,34 @@ class Quantity:
         """Stable text form: the body's, inside ``patch(body, i:v, ...)`` when there are overrides.
 
         The entries are ``f"{i}:{v}"`` in index order.  A run of entries that
-        hold the shared ``_ZERO`` of a zero prefix is written by one join of
-        its indices, with no per-entry formatting; every other entry,
-        another zero included, is formatted on its own.  Both print the same
-        bytes, so the text never depends on which zero an entry holds.
+        hold the shared ``_ZERO`` of a zero prefix is cut from fixed
+        templates, with no per-entry formatting, one piece per block of
+        1000 indices it covers: below 1000 from the entries
+        "1:0, " .. "999:0, ", and in the block p000..p999 from
+        "#000:0, " .. "#999:0, " with "#" replaced by str(p), so a run of m
+        indices makes about m / 1000 ``str`` calls.  A block whose indices
+        have no hole is one slice of its template; in a block with holes
+        each index picks its entry.  Every other entry, another zero
+        included, is formatted on its own.  Both print the same bytes, so
+        the text never depends on which zero an entry holds.  The pieces
+        are joined once.
         """
         if not self.is_closed:
             return f"lazy({self.seq.description})"
         text = self.body.render()
         if not self.patch:
             return text
-        keys = sorted(self.patch)
-        vals = list(map(self.patch.__getitem__, keys))
-        entries, start = [], 0
-        for i in compress(range(len(vals)), map(operator.is_not, vals, repeat(_ZERO))):
-            if start < i:
-                entries.append(":0, ".join(map(str, keys[start:i])) + ":0")
-            entries.append(f"{keys[i]}:{vals[i]}")
+        patch = self.patch
+        keys = sorted(patch)
+        out, start = ["patch(", text, ", "], 0
+        for k in sorted(compress(patch, map(operator.is_not, patch.values(), repeat(_ZERO)))):
+            i = bisect_left(keys, k, start)
+            _zero_run(keys, start, i, out)
+            out.append(f"{k}:{patch[k]}, ")
             start = i + 1
-        if start < len(keys):
-            entries.append(":0, ".join(map(str, keys[start:])) + ":0")
-        return f"patch({text}, {', '.join(entries)})"
+        _zero_run(keys, start, len(keys), out)
+        out[-1] = out[-1][:-2] + ")"  # the last piece (one entry or one block) loses its ", "
+        return "".join(out)
 
     def __repr__(self):
         return f"Quantity({self.render()})"
@@ -899,17 +940,23 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
 def values(q: Quantity) -> Callable[[int], Fraction]:
     """n -> q's exact value at n >= 1 as a Fraction, for loops over indices.
 
-    A lazy q is read through one ``reader``.  A closed q steps its body as
-    ``ExpPoly.value_at`` reads it, with the scale left out, from index 0,
-    and keeps S(n) here as a reduced Fraction: multiplied by G/Q when the
-    body steps, and (g/D) * (G/Q)**n, one ``pow``, when it restarts.
-    Reducing the value of a body over several bases pays a gcd of two large
-    integers.  An evaluator's Fraction is reduced already and is returned
-    as it is.
+    A closed q steps its body as ``ExpPoly.value_at`` reads it, with the
+    scale left out, from index 0, and keeps S(n) here as a reduced
+    Fraction: multiplied by G/Q when the body steps, and (g/D) * (G/Q)**n,
+    one ``pow``, when it restarts.  Reducing the value of a body over
+    several bases pays a gcd of two large integers.  A lazy q whose root
+    is a "leaf" or an "opaque" node behind any number of "delay" nodes is
+    read the same way at n minus the delays' sum, and is 0 below it; an
+    evaluator's Fraction is reduced already and is returned as it is.  Any
+    other lazy q is read through one ``reader``.
     """
-    if q.is_closed:
-        (g, d, big_g, big_q), last = q.body._origin()
-        at, patch = _stepper(q.body, last), q.patch
+    node, offset = as_node(q), 0
+    while node.op == "delay":
+        node, offset = node.args[0], offset + node.data
+    if node.op == "leaf":
+        closed = node.data
+        (g, d, big_g, big_q), last = closed.body._origin()
+        at, patch = _stepper(closed.body, last), closed.patch
         scale = start = Fraction(g, d)  # S(0)
         ratio = Fraction(big_g, big_q) if big_g != big_q else None
 
@@ -923,11 +970,15 @@ def values(q: Quantity) -> Callable[[int], Fraction]:
                 last = memo
             return _value(memo, scale)
 
-    elif q.seq.op == "opaque":
-        value = lambda n: _rat(q.seq.data[0](n))
+    elif node.op == "opaque":
+        fn = node.data[0]
+        value = lambda n: _rat(fn(n))
     else:
-        read = reader(q)
+        read, offset = reader(q), 0
         value = lambda n: Fraction(*read(n)[0])
+    if offset:
+        unshifted = value
+        value = lambda n: unshifted(n - offset) if n > offset else _ZERO
     return lambda n: value(_index(n))
 
 
@@ -973,7 +1024,20 @@ def sub(q1, q2) -> Quantity:
 
 
 def mul(q1, q2) -> Quantity:
-    """Pointwise product."""
+    """Pointwise product.
+
+    A closed q times an unpatched constant c scales q's patch as ``neg``
+    negates it: v != body(i) gives c * v != c * body(i) for c != 0, so the
+    scaled patch is minimal already, and ``v and v * c`` keeps the shared
+    ``_ZERO`` of a zero prefix.  c = 0 gives the zero quantity.
+    """
+    q1, q2 = _coerce(q1), _coerce(q2)
+    for q, c in ((q1, q2), (q2, q1)):
+        if q.is_closed and c.is_closed and not c.patch and c.body._coeffs.keys() <= {(1, 1, 0)}:
+            c = c.body.coeff(1, 0)
+            if not c:
+                return embed_scalar(0)
+            return Quantity(q.body.scale(c), {i: v and v * c for i, v in q.patch.items()}, None)
     return _pointwise(q1, q2, operator.mul, "*")
 
 

@@ -8,6 +8,8 @@ from helpers import (
     VANISHING_BODIES,
     check_zero_prefix,
     delay_holes,
+    mirror_closed,
+    mirror_delay,
     naive_eval,
     naive_product,
     naive_value,
@@ -725,3 +727,101 @@ def test_prefix_zeros_render_without_formatting_each_entry(monkeypatch):
         q.render()
         assert len(formatted) == 2  # the entries at 500 and 700, not the 998 shared zeros
         _check_render(q)
+
+
+# Indices where the text of an index gains a digit or enters a new block of 1000.
+BOUNDARIES = (9, 99, 999, 1999, 9999, 99999, 100000)
+
+
+def test_zero_runs_render_as_the_reference_across_digit_and_block_boundaries():
+    for m in (1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1999, 2000, 2001, 9999, 10000, 10001):
+        d = delay(N, m)
+        assert all(v is _ZERO for v in d.patch.values())
+        _check_render(d)
+    # Runs that start past 1 and cross a boundary: the override at b - 3 ends
+    # the run 1..b - 4 and starts the run b - 2..b + 3.
+    for b in BOUNDARIES:
+        q = patch(delay(N, b + 3), {b - 3: F(7, 2)})
+        _check_render(q)
+        _check_render(Quantity(N.body, dict.fromkeys(range(b - 2, b + 4), _ZERO), None))
+    _check_render(Quantity(N.body, dict.fromkeys(range(99998, 100003), _ZERO), None))
+
+
+def test_zero_runs_split_by_holes_render_as_the_reference():
+    alternating = Quantity.closed(ExpPoly({(F(1), 0): F(1), (F(-1), 0): F(1)}))  # 1 + (-1)^n
+    for m in (1, 2, 3, 10, 999, 1000, 1001, 2001, 10002):
+        d = delay(alternating, m)
+        assert len(d.patch) == (m + 1) // 2  # a hole at every other index
+        _check_render(d)
+    # N + 500 is 0 at n = -500, which leaves one hole at m - 500.
+    one_hole = Quantity.closed(ExpPoly({(F(1), 1): F(1), (F(1), 0): F(500)}))
+    for m in (999, 1500, 2499, 100500):
+        d = delay(one_hole, m)
+        assert m - 500 not in d.patch and len(d.patch) == m - 1
+        _check_render(d)
+
+
+def test_zero_runs_with_tails_negation_and_other_zeros_render_as_the_reference():
+    for m in (998, 1003, 12000):
+        d = delay(patch(N, {1: F(0), 2: F(-5), 4: F(1, 3)}), m)  # a tail past the prefix
+        others = {7: F(0, 3), 999: F(0), 1000: F(0, 2), m // 2: F(-1), m - 1: F(0, 9)}  # zeros that are not _ZERO
+        for q in (d, neg(d), patch(d, others), neg(patch(d, others)), 3 * patch(d, others)):
+            _check_render(q)
+        assert all(patch(d, others).patch[i] is not _ZERO for i in others)
+
+
+def test_the_longest_zero_run_renders_as_the_reference():
+    d = delay(N, 100000)  # N is 0 at n - 100000 = 0, so the run is 1..99999
+    _check_render(d)
+    assert len(d.patch) == 99999 and d.render().endswith(", 99998:0, 99999:0)")
+    _check_render(delay(N, 100002))  # the run 1..100001
+
+
+def test_zero_runs_call_str_once_per_block_of_1000(monkeypatch):
+    import seqring.quantity as quantity
+
+    alternating = Quantity.closed(ExpPoly({(F(1), 0): F(1), (F(-1), 0): F(1)}))
+    cases = [(delay(N, 100000), 100000), (delay(alternating, 20000), 20000)]
+    want = [reference_patch_render(reference_render(q.body.items()), q.patch) for q, _ in cases]
+    calls = []
+    monkeypatch.setattr(quantity, "str", lambda x: calls.append(x) or str(x), raising=False)
+    for (q, m), text in zip(cases, want):
+        calls.clear()
+        assert q.render() == text
+        assert len(calls) <= m // 1000 + 1  # one per block, not one per index
+
+
+def test_lazy_reads_of_one_leaf_match_the_closed_values():
+    rng = random.Random(18)
+    cases = [random_quantity(rng, with_patch=rng.random() < 0.5) for _ in range(12)]
+    cases += [patch(N, {1: F(0), 3: F(-2), 40: F(9, 7)}), Quantity.closed(ExpPoly.single(F(5), 0, F(3, 7)))]
+    for q in cases:
+        lazy = q.as_lazy()
+        for m, delayed in ((0, lazy), (4, delay(lazy, 4)), (9, delay(delay(lazy, 2), 7))):
+            want = mirror_delay(mirror_closed(q), m)
+            get = values(delayed)
+            assert [get(n) for n in range(1, 60)] == [want(n) for n in range(1, 60)]
+            assert get(400) == want(400) and get(1) == want(1)
+            assert eval_at(delayed, 123) == want(123)
+    opaque = Quantity.lazy(lambda n: F(n, 3), "n/3")
+    get = values(delay(opaque, 5))
+    assert [get(n) for n in range(1, 12)] == [F(0)] * 5 + [F(n, 3) for n in range(1, 7)]
+
+
+def test_scaling_by_a_constant_scales_the_patch_without_re_evaluating():
+    rng = random.Random(1815)
+    cases = [random_quantity(rng, with_patch=True) for _ in range(20)]
+    cases += [delay(N, 300), patch(delay(Quantity.closed(VANISHING_BODIES[3]), 50), {7: F(0, 4), 60: F(2)})]
+    for q in cases:
+        for c in (F(2), F(-3, 4), F(1), F(7, 5)):
+            want = Quantity.closed(q.body.scale(c), {i: v * c for i, v in q.patch.items()})
+            for got in (mul(q, c), mul(embed_scalar(c), q), c * q, q * c):
+                assert got == want
+                assert all(got.patch[i] is _ZERO for i, v in q.patch.items() if v is _ZERO)
+                assert [eval_at(got, n) for n in range(1, 70)] == [c * naive_eval(q, n) for n in range(1, 70)]
+        assert mul(q, 0) == mul(0, q) == embed_scalar(0)
+    # A patched constant is no scalar: its override is read pointwise.
+    two = patch(embed_scalar(2), {3: F(5)})
+    got = mul(delay(N, 4), two)
+    assert [eval_at(got, n) for n in range(1, 9)] == [0, 0, 0, 0, 2, 4, 6, 8]
+    assert eval_at(mul(N, two), 3) == 15
