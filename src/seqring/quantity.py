@@ -1026,14 +1026,15 @@ def sub(q1, q2) -> Quantity:
 def mul(q1, q2) -> Quantity:
     """Pointwise product.
 
-    A closed q times an unpatched constant c scales q's patch as ``neg``
-    negates it: v != body(i) gives c * v != c * body(i) for c != 0, so the
-    scaled patch is minimal already, and ``v and v * c`` keeps the shared
-    ``_ZERO`` of a zero prefix.  c = 0 gives the zero quantity.
+    A patched closed q times an unpatched constant c scales q's patch as
+    ``neg`` negates it, with no per-index evaluation: v != body(i) gives
+    c * v != c * body(i) for c != 0, so the scaled patch is minimal already,
+    and ``v and v * c`` keeps the shared ``_ZERO`` of a zero prefix.  c = 0
+    gives the zero quantity.
     """
     q1, q2 = _coerce(q1), _coerce(q2)
     for q, c in ((q1, q2), (q2, q1)):
-        if q.is_closed and c.is_closed and not c.patch and c.body._coeffs.keys() <= {(1, 1, 0)}:
+        if q.patch and c.is_closed and not c.patch and c.body._coeffs.keys() <= {(1, 1, 0)}:
             c = c.body.coeff(1, 0)
             if not c:
                 return embed_scalar(0)
