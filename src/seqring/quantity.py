@@ -794,13 +794,13 @@ class Quantity:
         text = self.body.render()
         if not self.patch:
             return text
-        patch = self.patch
-        keys = sorted(patch)
+        overrides = self.patch
+        keys = sorted(overrides)
         out, start = ["patch(", text, ", "], 0
-        for k in sorted(compress(patch, map(operator.is_not, patch.values(), repeat(_ZERO)))):
+        for k in sorted(compress(overrides, map(operator.is_not, overrides.values(), repeat(_ZERO)))):
             i = bisect_left(keys, k, start)
             _zero_run(keys, start, i, out)
-            out.append(f"{k}:{patch[k]}, ")
+            out.append(f"{k}:{overrides[k]}, ")
             start = i + 1
         _zero_run(keys, start, len(keys), out)
         out[-1] = out[-1][:-2] + ")"  # the last piece (one entry or one block) loses its ", "
@@ -1035,10 +1035,10 @@ def mul(q1, q2) -> Quantity:
     q1, q2 = _coerce(q1), _coerce(q2)
     for q, c in ((q1, q2), (q2, q1)):
         if q.patch and c.is_closed and not c.patch and c.body._coeffs.keys() <= {(1, 1, 0)}:
-            c = c.body.coeff(1, 0)
-            if not c:
+            r = c.body.coeff(1, 0)
+            if not r:
                 return embed_scalar(0)
-            return Quantity(q.body.scale(c), {i: v and v * c for i, v in q.patch.items()}, None)
+            return Quantity(q.body.scale(r), {i: v and v * r for i, v in q.patch.items()}, None)
     return _pointwise(q1, q2, operator.mul, "*")
 
 
