@@ -940,23 +940,17 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
 def values(q: Quantity) -> Callable[[int], Fraction]:
     """n -> q's exact value at n >= 1 as a Fraction, for loops over indices.
 
-    A closed q steps its body as ``ExpPoly.value_at`` reads it, with the
-    scale left out, from index 0, and keeps S(n) here as a reduced
-    Fraction: multiplied by G/Q when the body steps, and (g/D) * (G/Q)**n,
-    one ``pow``, when it restarts.  Reducing the value of a body over
-    several bases pays a gcd of two large integers.  A lazy q whose root
-    is a "leaf" or an "opaque" node behind any number of "delay" nodes is
-    read the same way at n minus the delays' sum, and is 0 below it; an
-    evaluator's Fraction is reduced already and is returned as it is.  Any
-    other lazy q is read through one ``reader``.
+    A lazy q is read through one ``reader``.  A closed q steps its body as
+    ``ExpPoly.value_at`` reads it, with the scale left out, from index 0,
+    and keeps S(n) here as a reduced Fraction: multiplied by G/Q when the
+    body steps, and (g/D) * (G/Q)**n, one ``pow``, when it restarts.
+    Reducing the value of a body over several bases pays a gcd of two large
+    integers.  An evaluator's Fraction is reduced already and is returned
+    as it is.
     """
-    node, offset = as_node(q), 0
-    while node.op == "delay":
-        node, offset = node.args[0], offset + node.data
-    if node.op == "leaf":
-        closed = node.data
-        (g, d, big_g, big_q), last = closed.body._origin()
-        at, patch = _stepper(closed.body, last), closed.patch
+    if q.is_closed:
+        (g, d, big_g, big_q), last = q.body._origin()
+        at, patch = _stepper(q.body, last), q.patch
         scale = start = Fraction(g, d)  # S(0)
         ratio = Fraction(big_g, big_q) if big_g != big_q else None
 
@@ -970,15 +964,11 @@ def values(q: Quantity) -> Callable[[int], Fraction]:
                 last = memo
             return _value(memo, scale)
 
-    elif node.op == "opaque":
-        fn = node.data[0]
-        value = lambda n: _rat(fn(n))
+    elif q.seq.op == "opaque":
+        value = lambda n: _rat(q.seq.data[0](n))
     else:
-        read, offset = reader(q), 0
+        read = reader(q)
         value = lambda n: Fraction(*read(n)[0])
-    if offset:
-        unshifted = value
-        value = lambda n: unshifted(n - offset) if n > offset else _ZERO
     return lambda n: value(_index(n))
 
 
@@ -1024,21 +1014,7 @@ def sub(q1, q2) -> Quantity:
 
 
 def mul(q1, q2) -> Quantity:
-    """Pointwise product.
-
-    A patched closed q times an unpatched constant c scales q's patch as
-    ``neg`` negates it, with no per-index evaluation: v != body(i) gives
-    c * v != c * body(i) for c != 0, so the scaled patch is minimal already,
-    and ``v and v * c`` keeps the shared ``_ZERO`` of a zero prefix.  c = 0
-    gives the zero quantity.
-    """
-    q1, q2 = _coerce(q1), _coerce(q2)
-    for q, c in ((q1, q2), (q2, q1)):
-        if q.patch and c.is_closed and not c.patch and c.body._coeffs.keys() <= {(1, 1, 0)}:
-            r = c.body.coeff(1, 0)
-            if not r:
-                return embed_scalar(0)
-            return Quantity(q.body.scale(r), {i: v and v * r for i, v in q.patch.items()}, None)
+    """Pointwise product."""
     return _pointwise(q1, q2, operator.mul, "*")
 
 
