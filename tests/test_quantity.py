@@ -8,8 +8,6 @@ from helpers import (
     VANISHING_BODIES,
     check_zero_prefix,
     delay_holes,
-    mirror_closed,
-    mirror_delay,
     naive_eval,
     naive_product,
     naive_value,
@@ -793,38 +791,3 @@ def test_zero_runs_call_str_once_per_block_of_1000(monkeypatch):
         calls.clear()
         assert q.render() == text
         assert len(calls) <= m // 1000 + 1  # one per block, not one per index
-
-
-def test_lazy_reads_of_delayed_leaves_match_the_closed_values():
-    rng = random.Random(18)
-    cases = [random_quantity(rng, with_patch=rng.random() < 0.5) for _ in range(12)]
-    cases += [patch(N, {1: F(0), 3: F(-2), 40: F(9, 7)}), Quantity.closed(ExpPoly.single(F(5), 0, F(3, 7)))]
-    for q in cases:
-        lazy = q.as_lazy()
-        for m, delayed in ((0, lazy), (4, delay(lazy, 4)), (9, delay(delay(lazy, 2), 7))):
-            want = mirror_delay(mirror_closed(q), m)
-            get = values(delayed)
-            assert [get(n) for n in range(1, 60)] == [want(n) for n in range(1, 60)]
-            assert get(400) == want(400) and get(1) == want(1)
-            assert eval_at(delayed, 123) == want(123)
-    opaque = Quantity.lazy(lambda n: F(n, 3), "n/3")
-    get = values(delay(opaque, 5))
-    assert [get(n) for n in range(1, 12)] == [F(0)] * 5 + [F(n, 3) for n in range(1, 7)]
-
-
-def test_mul_by_a_constant_matches_the_scaled_patch():
-    rng = random.Random(1815)
-    cases = [random_quantity(rng, with_patch=True) for _ in range(20)]
-    cases += [delay(N, 300), patch(delay(Quantity.closed(VANISHING_BODIES[3]), 50), {7: F(0, 4), 60: F(2)})]
-    for q in cases:
-        for c in (F(2), F(-3, 4), F(1), F(7, 5)):
-            want = Quantity.closed(q.body.scale(c), {i: v * c for i, v in q.patch.items()})
-            for got in (mul(q, c), mul(embed_scalar(c), q), c * q, q * c):
-                assert got == want
-                assert [eval_at(got, n) for n in range(1, 70)] == [c * naive_eval(q, n) for n in range(1, 70)]
-        assert mul(q, 0) == mul(0, q) == embed_scalar(0)
-    # A patched constant is no scalar: its override is read pointwise.
-    two = patch(embed_scalar(2), {3: F(5)})
-    got = mul(delay(N, 4), two)
-    assert [eval_at(got, n) for n in range(1, 9)] == [0, 0, 0, 0, 2, 4, 6, 8]
-    assert eval_at(mul(N, two), 3) == 15
