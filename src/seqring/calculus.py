@@ -44,7 +44,7 @@ from .order import (
     first_checked_index,
     infinitely_close,
 )
-from .quantity import ExpPoly, LazySeq, Quantity, as_node, values
+from .quantity import ExpPoly, LazySeq, Quantity, _rat, as_node, values
 
 
 class _OutOfDomain(Exception):
@@ -155,7 +155,7 @@ def derivative(
     standard part.  A large spread is the signal that the quotient does not
     settle, i.e. that no derivative exists along this probe.
     """
-    x = Fraction(x)
+    x = _rat(x)
     h = probe if probe is not None else unit_infinitesimal()
     _check_probe(h, "derivative")
     h_at = values(h)
@@ -217,12 +217,15 @@ def continuity_probe(
     For each infinitesimal probe h the gap |f(x + h(n)) - f(x)| must decay;
     a tail gap at or above tol that has not decayed since the early window
     is a failure with that index as witness.  The smallest witness across
-    probes is reported.  Needs 1 <= window <= horizon (ValueError otherwise).
+    probes is reported.  Needs 1 <= window <= horizon and at least one probe
+    (ValueError otherwise).
     """
     horizon, window = check_horizon(horizon, window)
-    x = Fraction(x)
+    x = _rat(x)
     if probes is None:
         probes = default_probes()
+    if not probes:
+        raise ValueError("continuity_probe needs at least one probe")
     for h in probes:
         _check_probe(h, "continuity_probe")
     fx = f.at(x)

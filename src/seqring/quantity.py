@@ -21,8 +21,10 @@ pair (num, den) with den > 0, so no intermediate value pays a gcd; each
 closed form in it steps from one index to the next on integers alone
 (``ExpPoly._advance``), so a scan over closed forms builds no Fraction per
 index.  The lazy scans in ``order`` compare the pairs by sign.  Only the
-public boundary reduces a value to a Fraction: ``ExpPoly.value_at``,
-``values`` and ``eval_at``.
+public boundary reduces a value to a Fraction, and a closed form's value is
+reduced by one stepping reader, ``ExpPoly._fractions``: ``ExpPoly.value_at``
+is one read of it, and ``values`` and ``eval_at`` read a closed form
+through it.
 
 ``ExpPoly`` keeps a closed form on integers: each base as a reduced
 (num, den) pair and each coefficient as an integer numerator over one
@@ -135,6 +137,7 @@ class Term:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", _rat(self.coeff))
+        object.__setattr__(self, "power", operator.index(self.power))
         object.__setattr__(self, "base", _rat(self.base))
         if self.base == 0:
             raise InvalidTerm("term base must be nonzero")
@@ -185,7 +188,7 @@ class ExpPoly:
 
     def coeff(self, base, power: int) -> Fraction:
         base = _rat(base)
-        a = self._coeffs.get((base.numerator, base.denominator, power))
+        a = self._coeffs.get((base.numerator, base.denominator, operator.index(power)))
         return Fraction(a, self._den) if a else Fraction(0)
 
     def _sorted(self) -> list[tuple[Key, int]]:
@@ -209,7 +212,11 @@ class ExpPoly:
         return [Term(c, power, base) for (base, power), c in self.items()]
 
     def value_at(self, n: int) -> Fraction:
-        """Exact value at index n >= 1.
+        """Exact value at index n >= 1: one read of ``_fractions``."""
+        return self._fractions()(_index(n))
+
+    def _fractions(self) -> Callable[[int], Fraction]:
+        """n -> the exact value at n >= 1 as a reduced Fraction, stepped from one read to the next.
 
         The value is written as S(n) * I(n) / n**K, where
         S(n) = (g * G**n) / (D * Q**n), I(n) = sum a_i * r_i**n * n**(k_i + K)
@@ -221,23 +228,37 @@ class ExpPoly:
         full power in Q, so (G/Q)**n is reduced with no gcd.
 
         A ``reader`` keeps S(n) as the unreduced integer pair
-        (s_num, s_den) = (g * G**n, D * Q**n).  This read instead steps the
-        body with its scale left out (``_origin``) and builds S(n) as the
-        reduced Fraction (g/D) * (G/Q)**n, one ``pow``, which is then
-        multiplied by I(n) / n**K.  ``Fraction``'s gcds there meet a small
-        operand unless I(n) and Q**n are both large, which takes several
-        bases.  With one base I(n) stays small, so a large coefficient or
-        index costs no gcd of two large integers.  The body keeps no state:
-        a loop over consecutive indices reads through ``values`` or
-        ``reader``, which step each r_i**n and S(n) by one multiplication
-        per index.
+        (s_num, s_den) = (g * G**n, D * Q**n).  This reader instead steps the
+        body with its scale left out, from index 0, and keeps S(n) as the
+        reduced Fraction (g/D) * (G/Q)**n: a read at the index after the last
+        multiplies it by G/Q and steps each r_i**n by one multiplication, a
+        read at any other index restarts both with one ``pow`` each, and a
+        repeated read costs neither.  S(n) is then multiplied by I(n) / n**K.
+        ``Fraction``'s gcds there meet a small operand unless I(n) and Q**n
+        are both large, which takes several bases.  With one base I(n) stays
+        small, so a large coefficient or index costs no gcd of two large
+        integers.  The index is not checked here.
         """
-        n = _index(n)
-        (g, d, big_g, q), origin = self._origin()
-        return _value(self._advance(n, origin), Fraction(g, d) * Fraction(big_g, q) ** n)
+        g, d, big_g, q, k_shift, terms = self._plan()
+        # The ``_advance`` memo at index 0 of the plan with g = D = G = Q = 1,
+        # where every power is 1.
+        memo = (0, 1, 1, sum(a for a, _, k in terms if not k), (1,) * len(terms), (1, 1, 1, 1, k_shift, terms))
+        scale = start = Fraction(g, d)  # S(0)
+        ratio = Fraction(big_g, q) if big_g != q else None  # else S(n) = g/D at every n
+
+        def value(n: int) -> Fraction:
+            nonlocal memo, scale
+            if memo[0] != n:
+                if ratio is not None:
+                    scale = scale * ratio if memo[0] + 1 == n else start * ratio**n
+                memo = self._advance(n, memo)
+            inner = memo[3]
+            return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
+
+        return value
 
     def _advance(self, n: int, memo: tuple | None) -> tuple:
-        # (n, s_num, s_den, I(n), (r_i**n per term), plan): see value_at.
+        # (n, s_num, s_den, I(n), (r_i**n per term), plan): see _fractions.
         # Stepped from memo when it holds n - 1, by one integer multiplication
         # each, else restarted with pow.  A plan with G = Q = 1 keeps the
         # scale as it is.
@@ -258,15 +279,6 @@ class ExpPoly:
         for s, (a, _, k) in zip(powers, terms):
             inner += a * s * n**k if k else a * s
         return n, s_num, s_den, inner, powers, plan
-
-    def _origin(self) -> tuple[tuple[int, int, int, int], tuple]:
-        # ((g, D, G, Q), the ``_advance`` memo at index 0 of a plan with
-        # g = D = G = Q = 1): for a read that keeps S(n) as a reduced Fraction
-        # itself, so the body steps only its powers and I(n).  Every power is
-        # 1 at index 0, so a read at 1 steps and any other index restarts.
-        g, d, big_g, q, k_shift, terms = self._plan()
-        inner = sum(a for a, _, k in terms if not k)
-        return (g, d, big_g, q), (0, 1, 1, inner, (1,) * len(terms), (1, 1, 1, 1, k_shift, terms))
 
     def fingerprint(self) -> Callable[[int], int | None]:
         """n -> value_at(n) mod P for the prime P = 2**61 - 1, or None where undefined.
@@ -368,7 +380,7 @@ class ExpPoly:
                 out[key] = out.get(key, 0) + shifted * comb(power, j) * (-m) ** (power - j)
         return ExpPoly._reduced({k: a for k, a in out.items() if a}, self._den * big_l**m)
 
-    def zeros(self, hi: int, forward: "ExpPoly | None" = None) -> set[int]:
+    def zeros(self, hi: int) -> set[int]:
         """The t in 0..hi - 1 where the value is 0; the powers must be nonnegative.
 
         On each parity of t (the groups of ``leads``), a parity with no nonzero
@@ -376,16 +388,8 @@ class ExpPoly:
         Otherwise the first group outweighs the sum of the others from some T
         on (``_tail_start``), so the value has no zero there, and T does not
         depend on hi.  Only t < min(T, hi) are evaluated exactly: S(t) in
-        ``value_at`` is never 0, so the value is 0 where the integer I(t) is,
+        ``_fractions`` is never 0, so the value is 0 where the integer I(t) is,
         and each term of I(t) steps a_i * r_i**t by one multiplication per t.
-
-        ``forward`` is the same values read the other way, forward(hi - t) =
-        self(t).  When T reaches hi and every base of ``forward`` is 1 or -1,
-        the zeros are read off its scan of n = 1..hi instead: the reflection
-        of a polynomial at hi carries every power of t with coefficients of
-        the size of hi**k, where the forward form carries its own few terms.
-        A base |b| < 1 makes the forward form the larger one, as its constant
-        carries b**-hi.
         """
         holes: set[int] = set()
         window = 0
@@ -394,9 +398,6 @@ class ExpPoly:
                 window = max(window, _tail_start(groups, hi))
             else:
                 holes.update(range(parity, hi, 2))
-        polynomial = forward is not None and all(den == abs(num) == 1 for num, den, _ in forward._coeffs)
-        if window >= hi and polynomial:
-            return {hi - n for n in forward._zeros_below(hi + 1) if n}
         window = min(window, hi)
         if window:
             holes.update(self._zeros_below(window))
@@ -412,7 +413,7 @@ class ExpPoly:
         return list(compress(ts, map(operator.not_, map(sum, zip(*columns)))))
 
     def _plan(self) -> tuple[int, int, int, int, int, tuple[tuple[int, int, int], ...]]:
-        # (g, D, G, Q, K, ((a_i, r_i, k_i + K) per term)), all integers: see value_at.
+        # (g, D, G, Q, K, ((a_i, r_i, k_i + K) per term)), all integers: see _fractions.
         coeffs = self._coeffs
         nums = list(coeffs.values())
         q = lcm(*[den for _, den, _ in coeffs])
@@ -530,22 +531,13 @@ def _integer_terms(pairs: Iterable) -> tuple[dict[Key, int], int]:
     # (coefficients, D) of an ExpPoly from ((base, power), coefficient) pairs of rationals.
     cleaned: dict[Key, Fraction] = {}
     for (base, power), c in pairs:
-        base = _rat(base)
-        c = _rat(c)
+        base, power, c = _rat(base), operator.index(power), _rat(c)
         if base == 0:
             raise InvalidTerm("term base must be nonzero")
         if c != 0:
-            cleaned[(base.numerator, base.denominator, int(power))] = c
+            cleaned[(base.numerator, base.denominator, power)] = c
     d = lcm(*[c.denominator for c in cleaned.values()])
     return {key: c.numerator * (d // c.denominator) for key, c in cleaned.items()}, d
-
-
-def _value(memo: tuple, scale: Fraction) -> Fraction:
-    # S(n) * I(n) / n**K from an ``_advance`` memo and S(n) as a reduced
-    # Fraction ``scale``: see ExpPoly.value_at.
-    n, _, _, inner, _, plan = memo
-    k_shift = plan[4]
-    return scale * (Fraction(inner, n**k_shift) if k_shift else inner)
 
 
 def _tail_start(groups: list[IntGroup], cap: int) -> int:
@@ -705,16 +697,13 @@ class Quantity:
         minimal already.  n is a hole exactly when t = m - n is a zero of
         ``reflected``, the body read backwards from m (``body.reflect(m)``
         unless the caller has it more cheaply), and ``ExpPoly.zeros`` finds
-        those from a tail bound without evaluating every index.  When it
-        reflects the body itself and the bound reaches m, the body is scanned
-        forwards over 1..m instead.  All prefix entries hold the one shared
-        ``_ZERO``, which ``render`` prints in bulk.
+        those from a tail bound without evaluating every index.  All prefix
+        entries hold the one shared ``_ZERO``, which ``render`` prints in bulk.
         """
-        forward = None
         if reflected is None:
-            reflected, forward = body.reflect(m), body
+            reflected = body.reflect(m)
         prefix: PrefixPatch = dict.fromkeys(range(1, m + 1), _ZERO)
-        for t in reflected.zeros(m, forward):
+        for t in reflected.zeros(m):
             del prefix[m - t]
         if tail:
             prefix.update(tail)
@@ -823,12 +812,7 @@ def embed_scalar(r) -> Quantity:
 
 def eval_at(q: Quantity, n: int) -> Fraction:
     """Exact value of the n-th element (n >= 1); patch overrides win.  Loops use ``values``."""
-    if not q.is_closed:
-        return values(q)(n)
-    n = _index(n)
-    if n in q.patch:
-        return q.patch[n]
-    return q.body.value_at(n)
+    return values(q)(n)
 
 
 def as_node(q: Quantity) -> LazySeq:
@@ -836,10 +820,10 @@ def as_node(q: Quantity) -> LazySeq:
     return q.seq if q.seq is not None else LazySeq("leaf", (), q)
 
 
-def _stepper(body: ExpPoly, memo: tuple | None = None) -> Callable[[int], tuple]:
+def _stepper(body: ExpPoly) -> Callable[[int], tuple]:
     # i -> body's ``_advance`` memo at i >= 1: the last one when it holds i,
     # else the last one stepped when it holds i - 1, else a restart with pow.
-    # The first read starts from ``memo`` when given, else from body's plan.
+    memo = None
 
     def at(i: int) -> tuple:
         nonlocal memo
@@ -891,7 +875,7 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
                     return v.numerator, v.denominator
                 if n <= offset:
                     return 0, 1
-                # (s_num * I(i), s_den * i**K) in the terms of value_at: integers, with no gcd.
+                # (s_num * I(i), s_den * i**K) in the terms of _fractions: integers, with no gcd.
                 i, s_num, s_den, inner, _, plan = at(n - offset)
                 k = plan[4]
                 return s_num * inner, (s_den * i**k if k else s_den)
@@ -940,30 +924,14 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
 def values(q: Quantity) -> Callable[[int], Fraction]:
     """n -> q's exact value at n >= 1 as a Fraction, for loops over indices.
 
-    A lazy q is read through one ``reader``.  A closed q steps its body as
-    ``ExpPoly.value_at`` reads it, with the scale left out, from index 0,
-    and keeps S(n) here as a reduced Fraction: multiplied by G/Q when the
-    body steps, and (g/D) * (G/Q)**n, one ``pow``, when it restarts.
-    Reducing the value of a body over several bases pays a gcd of two large
-    integers.  An evaluator's Fraction is reduced already and is returned
-    as it is.
+    A closed q returns its override at a patched index and reads its body
+    through the body's one stepping reader (``ExpPoly._fractions``) at any
+    other.  A lazy q is read through one ``reader``.  An evaluator's
+    Fraction is reduced already and is returned as it is.
     """
     if q.is_closed:
-        (g, d, big_g, big_q), last = q.body._origin()
-        at, patch = _stepper(q.body, last), q.patch
-        scale = start = Fraction(g, d)  # S(0)
-        ratio = Fraction(big_g, big_q) if big_g != big_q else None
-
-        def value(n: int) -> Fraction:
-            nonlocal last, scale
-            if n in patch:
-                return patch[n]
-            memo = at(n)
-            if ratio is not None and memo is not last:  # else S(n) = g/D at every n
-                scale = scale * ratio if memo[0] == last[0] + 1 else start * ratio**n
-                last = memo
-            return _value(memo, scale)
-
+        read, patch = q.body._fractions(), q.patch
+        value = lambda n: patch[n] if n in patch else read(n)
     elif q.seq.op == "opaque":
         value = lambda n: _rat(q.seq.data[0](n))
     else:

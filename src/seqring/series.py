@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import BaseOne, DegreeCapExceeded, InvalidTerm, NegativePowerTerm
-from .quantity import ExpPoly, Quantity, embed_scalar
+from .quantity import ExpPoly, Quantity, _rat, embed_scalar
 
 DEGREE_CAP = 16
 
@@ -62,7 +62,7 @@ def geometric_power_sum(j: int, b) -> ExpPoly:
     Over the one denominator |w|**(j + 1), c_i has the numerator
     f_i * w**i * sign(w)**(j + 1), and no ``Fraction`` is built.
     """
-    b = Fraction(b)
+    b = _rat(b)
     if j < 0:
         raise NegativePowerTerm("geometric_power_sum needs a nonnegative power")
     if j > DEGREE_CAP:
@@ -106,8 +106,7 @@ def partial_sums(s: Series) -> Quantity:
     of the term has |b| > 1, the reflected body is led by its constant, and
     only a window of t = m - n near 0 is evaluated.  Otherwise the window can
     reach the whole prefix: a polynomial term's reflection can vanish
-    anywhere in it, and its prefix is then scanned on the body itself, which
-    has fewer and smaller terms than the reflection.
+    anywhere in it, and all of its m indices are then evaluated.
     """
     total = ExpPoly.zero()
     for (base, power), coeff in s.term.items():
@@ -136,7 +135,7 @@ def geometric_series_sums(e) -> Quantity:
     is e**(k-1), i.e. coefficient 1/e on base e.  Degenerate bases: e = 0
     gives the constant 1, e = 1 gives the sequence (n).
     """
-    e = Fraction(e)
+    e = _rat(e)
     if e == 0:
         return embed_scalar(1)
     if e == 1:

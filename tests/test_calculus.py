@@ -130,6 +130,32 @@ def test_continuity_probes_reject_their_window_before_evaluating(horizon, window
     assert continuity_probe(affine, 0, [probe], 10, window=10).status == "fails"
 
 
+def test_continuity_probe_rejects_an_empty_probe_list_before_evaluating():
+    calls = []
+    recording = RealFunction("affine", lambda x: calls.append(x) or 2 * x + 1)
+    for probes in ([], ()):
+        with pytest.raises(ValueError, match="at least one probe"):
+            continuity_probe(recording, 0, probes=probes)
+    assert calls == []
+
+
+def test_probes_read_their_point_as_an_exact_rational():
+    # A float point is a TypeError before f is evaluated; an int, a Fraction
+    # and a str give the same rational.
+    calls = []
+    recording = RealFunction("square", lambda x: calls.append(x) or x * x)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        derivative(recording, 0.1)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        continuity_probe(recording, 0.1)
+    assert calls == []
+    for same in (F(1, 3), "1/3"):
+        assert derivative(SQUARE, same, horizon=100, window=10) == derivative(SQUARE, F(1, 3), horizon=100, window=10)
+        assert continuity_probe(SQUARE, same, horizon=100, window=10) == continuity_probe(SQUARE, F(1, 3), horizon=100, window=10)
+    assert derivative(SQUARE, 3, horizon=100, window=10) == derivative(SQUARE, "3", horizon=100, window=10)
+    assert continuity_probe(SQUARE, 3, horizon=100, window=10).status == "holds"
+
+
 @pytest.mark.parametrize("horizon, window", [(100.5, 10), (100.0, 10), (100, 10.0), (F(100), 10)])
 def test_lazy_probes_reject_a_non_integer_horizon_or_window_before_evaluating(horizon, window):
     evaluated = []

@@ -171,13 +171,35 @@ def test_value_at_matches_naive_formula_in_every_access_order():
     for _ in range(60):
         e = _stepping_poly(rng)
         carried = values(Quantity.closed(e))  # keeps its memo from one order to the next
+        overrides = {2: F(7, 3), 40: F(0)}
+        patched = patch(Quantity.closed(e), overrides)
         for order, indices in _access_orders(rng).items():
             fresh = ExpPoly(dict(e.items()))
             for n in indices:
                 expected = naive_value(e, n)
                 assert fresh.value_at(n) == expected, (e, order, n)
                 assert carried(n) == expected, (e, order, n)
+                assert eval_at(Quantity.closed(e), n) == expected, (e, order, n)
+                assert eval_at(patched, n) == overrides.get(n, expected), (e, order, n)
     assert ExpPoly().value_at(7) == 0
+
+
+def test_a_power_that_is_not_an_integer_is_a_type_error():
+    # Powers are read through operator.index: a bool reads as its int, and
+    # any other non-integer raises before a term is built or looked up.
+    for build in (
+        lambda: ExpPoly({(1, 1.5): 1}),
+        lambda: ExpPoly({(2, 2.0): 1}),
+        lambda: ExpPoly({(2, F(3, 2)): 0}),
+        lambda: ExpPoly.single(1, 2.7, 1),
+        lambda: Term(1, 1.5, 2),
+        lambda: ExpPoly.single(1, 2, 1).coeff(1, 1.5),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert ExpPoly({(1, True): 1}) == ExpPoly.single(1, 1, 1)
+    assert type(Term(1, True, 2).power) is int
+    assert ExpPoly.single(3, 1, 1).coeff(1, True) == 3
 
 
 def test_lazies_sharing_one_body_match_naive_formula():

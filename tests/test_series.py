@@ -216,26 +216,18 @@ QUARTIC_STEPS = ExpPoly({(F(1), 3): 4, (F(1), 2): -9906, (F(1), 1): 5809904, (F(
 
 
 @pytest.mark.parametrize("m", [1, 299, 1000, 2000, 2500])
-def test_series_of_a_polynomial_term_scans_its_body_forwards(m, monkeypatch):
+def test_series_of_a_polynomial_term_skips_exactly_its_holes(m):
     # A polynomial's reflection at m has every power of t, with coefficients
-    # of the size of m**k, and its tail bound reaches m, so the holes are read
-    # off one forward scan of the body over 1..m.
-    scans = []
-    zeros_below = ExpPoly._zeros_below
-    monkeypatch.setattr(ExpPoly, "_zeros_below", lambda self, w: scans.append((self, w)) or zeros_below(self, w))
+    # of the size of m**k, and its tail bound reaches m, so the whole prefix
+    # is evaluated on it; the holes must still be exactly the summed ones.
     for term in (QUARTIC_STEPS, ExpPoly.single(1, 16, 1)):
-        scans.clear()
         q = partial_sums(Series(term, m + 1))
         assert q.patch.keys() == set(range(1, m + 1)) - series_holes(term, m)
-        assert len(scans) == 1 and scans[0][0] is q.body and scans[0][1] == m + 1
     assert series_holes(QUARTIC_STEPS, 2000) == {300, 1000, 2000}
-    # With a base |b| < 1 the forward body's constant carries b**-m, and the
-    # reflection, which carries b**m in its coefficients, is scanned instead.
-    scans.clear()
+    # A base |b| < 1, whose reflection carries b**m in its coefficients.
     term = ExpPoly.single(1, 3, F(1, 2))
     q = partial_sums(Series(term, m + 1))
     assert q.patch.keys() == set(range(1, m + 1)) - series_holes(term, m)
-    assert len(scans) == 1 and scans[0][0] != q.body
 
 
 def test_omit_first_of_ones():
@@ -270,6 +262,21 @@ def test_omit_first_brute_force():
 # ------------------------------------------------------------------
 # geometric_series_sums (the unit-led geometric series)
 # ------------------------------------------------------------------
+
+def test_geometric_sums_read_their_base_as_an_exact_rational():
+    # A float base is a TypeError, as it is for ExpPoly's own inputs; an int,
+    # a Fraction and a str give the same rational.
+    for inexact in (0.1, 0.5, 2.0):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            geometric_series_sums(inexact)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            geometric_power_sum(1, inexact)
+    assert geometric_series_sums("1/10") == geometric_series_sums(F(1, 10))
+    assert geometric_series_sums("1/10").body.coeff(F(1, 10), 0) == F(-10, 9)
+    assert geometric_series_sums(3) == geometric_series_sums("3") == geometric_series_sums(F(3))
+    assert geometric_power_sum(2, "1/10") == geometric_power_sum(2, F(1, 10))
+    assert geometric_power_sum(2, -2) == geometric_power_sum(2, "-2") == geometric_power_sum(2, F(-2))
+
 
 def test_geom_partial_sums_closed_form():
     for e in (F(1, 2), F(3, 4), F(9, 10)):
