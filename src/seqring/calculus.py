@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .errors import (
     DomainViolation,
@@ -207,7 +207,7 @@ def _decay_verdict(
 def continuity_probe(
     f: RealFunction,
     x,
-    probes: Sequence[Quantity] | None = None,
+    probes: Iterable[Quantity] | None = None,
     horizon: int = DEFAULT_HORIZON,
     tol: Fraction = DEFAULT_TOL,
     window: int = DEFAULT_WINDOW,
@@ -218,12 +218,11 @@ def continuity_probe(
     a tail gap at or above tol that has not decayed since the early window
     is a failure with that index as witness.  The smallest witness across
     probes is reported.  Needs 1 <= window <= horizon and at least one probe
-    (ValueError otherwise).
+    (ValueError otherwise).  ``probes`` is read once, so any iterable works.
     """
     horizon, window = check_horizon(horizon, window)
     x = _rat(x)
-    if probes is None:
-        probes = default_probes()
+    probes = default_probes() if probes is None else list(probes)
     if not probes:
         raise ValueError("continuity_probe needs at least one probe")
     for h in probes:

@@ -6,25 +6,25 @@ A quantity is a sequence of rationals indexed from n = 1, stored either as
   ``c * n**k * b**n`` with rational c, b and integer k) plus a finite set of
   index overrides (the "prefix patch"), or
 * a lazy sequence: a node graph (a DAG) of pointwise operations whose leaves
-  are closed forms and opaque evaluators, pure functions from index to
-  rational.
+  are closed forms and evaluators, pure functions from index to rational.
 
 Closed forms are the decidable fragment: addition and multiplication stay
 inside it, and the ordering layer can compare them exactly.  Arithmetic that
 mixes a closed form with a lazy sequence lowers the result to lazy: ``add``,
 ``mul``, ``neg`` and ``delay`` build ``LazySeq`` nodes tagged "+", "*", "neg"
-and "delay" over "leaf" (a closed form) and "opaque" (an evaluator) nodes,
-and ``calculus.extend`` builds "apply" nodes.  Nodes hold no evaluation
-state.  ``reader`` compiles DAGs once into slots, one per node and index
-offset, and evaluates each slot once per index as an unnormalized integer
-pair (num, den) with den > 0, so no intermediate value pays a gcd; each
-closed form in it steps from one index to the next on integers alone
-(``ExpPoly._advance``), so a scan over closed forms builds no Fraction per
-index.  The lazy scans in ``order`` compare the pairs by sign.  Only the
-public boundary reduces a value to a Fraction, and a closed form's value is
-reduced by one stepping reader, ``ExpPoly._fractions``: ``ExpPoly.value_at``
-is one read of it, and ``values`` and ``eval_at`` read a closed form
-through it.
+and "delay" over "leaf" nodes (closed forms); an "apply" node holds a
+function, with no operand for an evaluator (``Quantity.lazy``) and one for
+``calculus.extend``.  Nodes hold no evaluation state.  ``reader`` compiles DAGs once into slots, one per node
+and index offset, and evaluates each slot once per index as an unnormalized
+integer pair (num, den) with den > 0, so no intermediate value pays a gcd;
+each leaf slot steps its closed form from one index to the next on integers
+alone (``ExpPoly._advance``), in a memo of its own, so a scan over closed
+forms builds no Fraction per index.  The lazy scans in ``order`` compare the
+pairs by sign.  Only the public boundary reduces a value to a Fraction:
+``values`` reads a lazy quantity through one ``reader``, and a closed form
+through its one stepping Fraction reader, ``ExpPoly._fractions``;
+``ExpPoly.value_at`` is one read of it, and ``eval_at`` is one read of
+``values``.
 
 ``ExpPoly`` keeps a closed form on integers: each base as a reduced
 (num, den) pair and each coefficient as an integer numerator over one
@@ -47,7 +47,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from math import comb, gcd, lcm
 from typing import Callable, Iterable, Mapping
 
@@ -58,8 +58,6 @@ from .errors import (
     NonInvertible,
     ZeroDivisor,
 )
-
-Rational = Fraction
 
 # An ExpPoly key: (num, den, power) for the shape n**power * (num/den)**n, the
 # base num/den reduced with den > 0.  A key maps to the integer numerator of
@@ -362,13 +360,19 @@ class ExpPoly:
         return backwards.shift(m) if m else backwards
 
     def shift(self, m: int) -> "ExpPoly":
-        """The form n -> self(n - m), re-expanded in powers of n; the powers must be nonnegative.
+        """The form n -> self(n - m) for m >= 0, re-expanded in powers of n; the powers must be nonnegative.
 
         A term c * n**k * b**n at n - m is c * b**-m * sum C(k, j) * (-m)**(k - j)
         * n**j * b**n.  b**-m = den**m / num**m is put over L**m, with L the
-        lcm of the base numerators' magnitudes.
+        lcm of the base numerators' magnitudes.  A negative power or a
+        negative m is a ValueError.
         """
+        m = operator.index(m)
+        if m < 0:
+            raise ValueError("cannot shift by a negative m")
         coeffs = self._coeffs
+        if any(power < 0 for _, _, power in coeffs):
+            raise ValueError("cannot shift a term with a negative power")
         big_l = lcm(*{abs(num) for num, _, _ in coeffs})
         out: dict[Key, int] = {}
         for (num, den, power), a in coeffs.items():
@@ -389,7 +393,8 @@ class ExpPoly:
         on (``_tail_start``), so the value has no zero there, and T does not
         depend on hi.  Only t < min(T, hi) are evaluated exactly: S(t) in
         ``_fractions`` is never 0, so the value is 0 where the integer I(t) is,
-        and each term of I(t) steps a_i * r_i**t by one multiplication per t.
+        and ``_advance`` steps I(t) from t = 0 by one multiplication per term
+        and index.
         """
         holes: set[int] = set()
         window = 0
@@ -398,19 +403,12 @@ class ExpPoly:
                 window = max(window, _tail_start(groups, hi))
             else:
                 holes.update(range(parity, hi, 2))
-        window = min(window, hi)
-        if window:
-            holes.update(self._zeros_below(window))
+        memo = None
+        for t in range(min(window, hi)):
+            memo = self._advance(t, memo)
+            if not memo[3]:
+                holes.add(t)
         return holes
-
-    def _zeros_below(self, window: int) -> list[int]:
-        # The t in 0..window - 1 where I(t) = 0: the exact scan of ``zeros``.
-        ts = range(window)
-        columns = []  # per term: a_i * r_i**t * t**k_i for t in ts
-        for a, r, k in self._plan()[5]:
-            column = accumulate(repeat(r, window - 1), operator.mul, initial=a)
-            columns.append(map(operator.mul, column, map(pow, ts, repeat(k))) if k else column)
-        return list(compress(ts, map(operator.not_, map(sum, zip(*columns)))))
 
     def _plan(self) -> tuple[int, int, int, int, int, tuple[tuple[int, int, int], ...]]:
         # (g, D, G, Q, K, ((a_i, r_i, k_i + K) per term)), all integers: see _fractions.
@@ -590,10 +588,10 @@ def canonicalize(terms: Iterable[Term]) -> ExpPoly:
 class LazySeq:
     """A node of a lazy expression DAG, pure and total on indices n >= 1.
 
-    ``op`` is "leaf" (``data``: a closed Quantity, patch included), "opaque"
-    (``data``: (evaluator, description)), "apply" (n -> f(arg(n), n); ``data``:
-    (f, name)), "+", "*", "neg" or "delay" (``data``: m); ``args`` are the
-    operand nodes.  A node holds no evaluation state: ``reader`` evaluates it.
+    ``op`` is "leaf" (``data``: a closed Quantity, patch included), "apply"
+    (``data``: (f, name); n -> f(n) with no operand, n -> f(arg(n), n) with
+    one), "+", "*", "neg" or "delay" (``data``: m); ``args`` are the operand
+    nodes.  A node holds no evaluation state: ``reader`` evaluates it.
     """
 
     __slots__ = ("op", "args", "data")
@@ -614,10 +612,8 @@ class LazySeq:
         if op == "leaf":  # the closed form's own text, patch included, bracketed unless one term
             text = data.render()
             return f"({text})" if len(data.body._coeffs) > 1 or data.patch else text
-        if op == "opaque":
-            return data[1]
         if op == "apply":
-            return f"{data[1]}({parts[0]})"
+            return f"{data[1]}({parts[0]})" if parts else data[1]
         if op == "neg":
             return f"-({parts[0]})"
         if op == "delay":
@@ -711,7 +707,7 @@ class Quantity:
 
     @classmethod
     def lazy(cls, evaluator: Callable[[int], Fraction], description: str = "lazy") -> "Quantity":
-        return cls(None, {}, LazySeq("opaque", (), (evaluator, description)))
+        return cls(None, {}, LazySeq("apply", (), (evaluator, description)))
 
     @property
     def is_closed(self) -> bool:
@@ -719,7 +715,7 @@ class Quantity:
 
     @property
     def description(self) -> str:
-        return self.seq.description if self.seq is not None else self.body.render()
+        return self.seq.description if self.seq is not None else self.render()
 
     def as_lazy(self) -> "Quantity":
         """Explicitly forget the closed form."""
@@ -820,20 +816,6 @@ def as_node(q: Quantity) -> LazySeq:
     return q.seq if q.seq is not None else LazySeq("leaf", (), q)
 
 
-def _stepper(body: ExpPoly) -> Callable[[int], tuple]:
-    # i -> body's ``_advance`` memo at i >= 1: the last one when it holds i,
-    # else the last one stepped when it holds i - 1, else a restart with pow.
-    memo = None
-
-    def at(i: int) -> tuple:
-        nonlocal memo
-        if memo is None or memo[0] != i:
-            memo = body._advance(i, memo)
-        return memo
-
-    return at
-
-
 def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
     """n -> [(num, den) for each q]: the values at n >= 1 as unreduced pairs, den > 0.
 
@@ -841,14 +823,14 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
     slots keyed by (node, offset): a slot reads its node at n - offset, and a
     read evaluates each slot once, operands first, however often the DAGs
     share it.  A "delay" adds its m to the offset and needs no slot: below
-    index 1 every leaf, evaluator and applied function reads (0, 1), and so
-    do sums, products and negations.
-    The leaves of one closed form share a slot, and all leaves on one body
-    at one offset share an ``_advance`` memo, kept for the life of the
-    reader, so a body read at any number of offsets steps at each of them.
+    index 1 every leaf and "apply" node reads (0, 1), and so do sums,
+    products and negations.
+    The leaves of one closed form share a slot, and each leaf slot keeps its
+    own ``_advance`` memo for the life of the reader: a read at the index
+    after the last steps it, any other read restarts it, so a body read at
+    any number of offsets steps at each of them.
     """
     slots: dict = {}  # (node, offset), or (id(closed form), offset) for a leaf -> slot
-    steppers: dict = {}  # (id(body), offset) -> _stepper(body)
     steps: list[Callable[[int], tuple[int, int]]] = []
     vals: list[tuple[int, int]] = []
 
@@ -866,27 +848,30 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
         # The step of node read at n - offset, over the slots x and y of its operands.
         op, data = node.op, node.data
         if op == "leaf":
-            patch = data.patch
-            at = steppers.setdefault((id(data.body), offset), _stepper(data.body))
+            patch, body = data.patch, data.body
+            memo = None  # body's ``_advance`` memo at the last index read
 
             def step(n: int) -> tuple[int, int]:
+                nonlocal memo
                 v = patch.get(n - offset)
                 if v is not None:
                     return v.numerator, v.denominator
                 if n <= offset:
                     return 0, 1
+                if memo is None or memo[0] != n - offset:
+                    memo = body._advance(n - offset, memo)
                 # (s_num * I(i), s_den * i**K) in the terms of _fractions: integers, with no gcd.
-                i, s_num, s_den, inner, _, plan = at(n - offset)
+                i, s_num, s_den, inner, _, plan = memo
                 k = plan[4]
                 return s_num * inner, (s_den * i**k if k else s_den)
 
-        elif op in ("opaque", "apply"):
+        elif op == "apply":
             fn = data[0]
 
             def step(n: int) -> tuple[int, int]:
                 if n <= offset:
                     return 0, 1
-                v = _rat(fn(n - offset) if op == "opaque" else fn(Fraction(*vals[x]), n - offset))
+                v = _rat(fn(n - offset) if x is None else fn(Fraction(*vals[x]), n - offset))
                 return v.numerator, v.denominator
 
         elif op == "neg":
@@ -926,14 +911,12 @@ def values(q: Quantity) -> Callable[[int], Fraction]:
 
     A closed q returns its override at a patched index and reads its body
     through the body's one stepping reader (``ExpPoly._fractions``) at any
-    other.  A lazy q is read through one ``reader``.  An evaluator's
-    Fraction is reduced already and is returned as it is.
+    other.  A lazy q, an evaluator's "apply" node included, is read through
+    one ``reader``, and its pair is reduced to a Fraction.
     """
     if q.is_closed:
         read, patch = q.body._fractions(), q.patch
         value = lambda n: patch[n] if n in patch else read(n)
-    elif q.seq.op == "opaque":
-        value = lambda n: _rat(q.seq.data[0](n))
     else:
         read = reader(q)
         value = lambda n: Fraction(*read(n)[0])

@@ -139,6 +139,20 @@ def test_continuity_probe_rejects_an_empty_probe_list_before_evaluating():
     assert calls == []
 
 
+def test_continuity_probe_reads_a_generator_of_probes_once():
+    # A generator of probes gives the verdict and the f evaluations of the
+    # same probes in a list: the check and the evaluation share one read.
+    step = lambda x: F(1) if x > 0 else F(0)
+    runs = []
+    for make in (list, iter):
+        calls = []
+        recording = RealFunction("step", lambda x: calls.append(x) or step(x))
+        probes = make([unit_infinitesimal(), mul(unit_infinitesimal(), -1)])
+        runs.append((continuity_probe(recording, 0, probes=probes, horizon=100, window=10), len(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][0].status == "fails" and runs[0][1] > 2 * 10  # each probe reads f over its window
+
+
 def test_probes_read_their_point_as_an_exact_rational():
     # A float point is a TypeError before f is evaluated; an int, a Fraction
     # and a str give the same rational.

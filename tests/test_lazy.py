@@ -253,7 +253,7 @@ def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
     x = fresh()
     assert compare_lazy(x.as_lazy(), add(x.as_lazy(), 1), Comparison.LESS, h).status == "holds"
     assert len(steps) == scanned and steps.count(False) == 1
-    # extend reads the body through value_at, which shares pair_at's memos.
+    # extend's operand and the leaf are one closed form, so they share one reader slot.
     x = fresh()
     same = compare_lazy(extend(RealFunction("id", F), x), x.as_lazy(), Comparison.EQUAL, h)
     assert same.status == "holds" and len(steps) == scanned and steps.count(False) == 1
@@ -296,7 +296,7 @@ def test_one_body_read_at_three_offsets_restarts_once_per_offset(monkeypatch):
     # y - delay(y, 1) + delay(y, 2) reads one body at n, n - 1 and n - 2; each
     # offset keeps its own memo, so the scan restarts three times and every
     # other read steps.  A patched copy of the closed form is a different
-    # leaf on the same body, and at offset 1 it shares that offset's memo.
+    # leaf on the same body, so at offset 1 it steps a memo of its own.
     body = ExpPoly({(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)})
     steps = []  # per _advance call on body: whether it stepped from n - 1
     advance = ExpPoly._advance
@@ -313,8 +313,8 @@ def test_one_body_read_at_three_offsets_restarts_once_per_offset(monkeypatch):
     twin = delay(patch(x, {1: F(5)}).as_lazy(), 1)  # below 0 past index 2
     h = 300
     assert compare_lazy(three, add(three, twin), Comparison.GREATER, h).status == "holds"
-    assert len(steps) == 3 * (h - first_checked_index(h) + 1)
-    assert steps.count(False) == 3
+    assert len(steps) == 4 * (h - first_checked_index(h) + 1)
+    assert steps.count(False) == 4
 
 
 def test_a_closed_leaf_scan_builds_no_fraction_per_index(monkeypatch):

@@ -446,20 +446,20 @@ def test_delay_finds_holes_deep_in_the_prefix_and_at_its_end():
 
 
 def test_delay_hole_scan_does_not_grow_with_m(monkeypatch):
-    windows = []  # the number of indices each exact scan evaluates
-    zeros_below = ExpPoly._zeros_below
+    advances = []  # the index of each exact evaluation
+    advance = ExpPoly._advance
 
-    def counted(self, window):
-        windows.append(window)
-        return zeros_below(self, window)
+    def counted(self, n, memo):
+        advances.append(n)
+        return advance(self, n, memo)
 
-    monkeypatch.setattr(ExpPoly, "_zeros_below", counted)
+    monkeypatch.setattr(ExpPoly, "_advance", counted)
     q = Quantity.closed(ExpPoly({(F(1), 3): 1, (F(-1), 2): 1, (F(1), 1): 1, (F(-1), 0): 5}))
     counts = []
     for m in (10**3, 10**5):
-        windows.clear()
+        advances.clear()
         d = delay(q, m)
-        counts.append(sum(windows))
+        counts.append(len(advances))
         assert len(d.patch) == m  # q(n - m) = (n - m)^3 + ... has no zero at n <= m
         assert eval_at(d, m + 2) == eval_at(q, 2)
     assert counts[0] == counts[1] < 10
@@ -475,6 +475,30 @@ def test_reflect_reads_the_form_backwards():
                 assert naive_value(r, t) == naive_value(e, m - t), (e, m, t)
     with pytest.raises(ValueError):
         ExpPoly.single(1, -1, 2).reflect(0)
+
+
+def test_shift_rejects_a_negative_power_and_a_negative_m():
+    # Before, a term with a negative power was dropped without a word, and a
+    # negative m reached a float power of the base numerators' lcm.
+    recip = ExpPoly.single(1, -1, 1)
+    for m in (3, 0):
+        with pytest.raises(ValueError, match="negative power"):
+            recip.shift(m)
+    e = ExpPoly({(F(2), 1): F(3), (F(-1, 2), 0): F(1, 7)})
+    with pytest.raises(ValueError, match="negative m"):
+        e.shift(-1)
+    with pytest.raises(TypeError):
+        e.shift(1.5)
+    for m in (0, 3):
+        for n in range(1, 8):
+            assert naive_value(e.shift(m), n) == naive_value(e, n - m), (m, n)
+
+
+def test_a_closed_description_keeps_its_patch():
+    # A closed form's description is its render, overrides included.
+    q = patch(N, {1: 5})
+    assert q.description == q.render() == "patch(1*n^1*1^n, 1:5)"
+    assert N.description == "1*n^1*1^n"
 
 
 def test_zeros_match_a_full_scan():
