@@ -11,20 +11,20 @@ A quantity is a sequence of rationals indexed from n = 1, stored either as
 Closed forms are the decidable fragment: addition and multiplication stay
 inside it, and the ordering layer can compare them exactly.  Arithmetic that
 mixes a closed form with a lazy sequence lowers the result to lazy: ``add``,
-``mul``, ``neg`` and ``delay`` build ``LazySeq`` nodes tagged "+", "*", "neg"
-and "delay" over "leaf" nodes (closed forms); an "apply" node holds a
+``mul``, ``neg`` and ``delay`` build ``LazySeq`` nodes tagged "+", "*",
+"neg" and "delay" over "leaf" nodes (closed forms); an "apply" node holds a
 function, with no operand for an evaluator (``Quantity.lazy``) and one for
-``calculus.extend``.  Nodes hold no evaluation state.  ``reader`` compiles DAGs once into slots, one per node
-and index offset, and evaluates each slot once per index as an unnormalized
-integer pair (num, den) with den > 0, so no intermediate value pays a gcd;
-each leaf slot steps its closed form from one index to the next on integers
-alone (``ExpPoly._advance``), in a memo of its own, so a scan over closed
-forms builds no Fraction per index.  The lazy scans in ``order`` compare the
-pairs by sign.  Only the public boundary reduces a value to a Fraction:
-``values`` reads a lazy quantity through one ``reader``, and a closed form
-through its one stepping Fraction reader, ``ExpPoly._fractions``;
-``ExpPoly.value_at`` is one read of it, and ``eval_at`` is one read of
-``values``.
+``calculus.extend``.  Nodes hold no evaluation state.  ``reader`` compiles
+DAGs once into slots, one per node and index offset, and evaluates each slot
+once per index as an unnormalized integer pair (num, den) with den > 0, so
+no intermediate value pays a gcd; each leaf slot steps its closed form from
+one index to the next on integers alone (``ExpPoly._advance``), in a memo of
+its own, so a scan over closed forms builds no Fraction per index.  The lazy
+scans in ``order`` compare the pairs by sign.  Only the public boundary
+reduces a value to a Fraction: ``values`` reads a lazy quantity through one
+``reader``, and a closed form through its one stepping Fraction reader,
+``ExpPoly._fractions``; ``ExpPoly.value_at`` is one read of it, and
+``eval_at`` is one read of ``values``.
 
 ``ExpPoly`` keeps a closed form on integers: each base as a reduced
 (num, den) pair and each coefficient as an integer numerator over one
