@@ -108,18 +108,18 @@ def standard_part(
 ):
     """The rational infinitely close to a finite quantity.
 
-    Closed forms are exact: the constant term's coefficient (NotFinite when
-    the quantity is infinitely great or oscillating).  Lazy sequences are
-    sampled over the last ``window`` indices up to ``horizon`` and yield a
-    StEstimate with the tail median and observed spread; the caller judges
+    Closed forms are exact: ``classify``'s standard part, or 0 (NotFinite
+    when the quantity is infinitely great or oscillating).  Lazy sequences
+    are sampled over the last ``window`` indices up to ``horizon`` and yield
+    a StEstimate with the tail median and observed spread; the caller judges
     the spread against its own tolerance.  A lazy sample needs
     1 <= window <= horizon (ValueError otherwise).
     """
     if q.is_closed:
-        kind = classify(q).kind
-        if kind not in ("zero", "infinitesimal", "finite"):
-            raise NotFinite(f"no standard part: quantity is {kind}")
-        return q.body.coeff(1, 0)
+        c = classify(q)
+        if c.kind not in ("zero", "infinitesimal", "finite"):
+            raise NotFinite(f"no standard part: quantity is {c.kind}")
+        return c.standard_part or Fraction(0)
     horizon, window = check_horizon(horizon, window)
     samples = sorted(map(values(q), range(horizon - window + 1, horizon + 1)))
     mid = len(samples) // 2

@@ -13,6 +13,8 @@ bases, whose eventual sign is the sign of its dominant group in the
 (|base| desc, power desc) lexicographic order: a base ratio above 1 outgrows
 any power gap, and with equal bases the higher power wins.  No deeper
 periodicity can occur because bases enter only as +B/-B pairs.
+Every exact decision reads that table alone, from ``ExpPoly.groups``:
+integer rows (|num|, den, power, a) of coefficient a / D, D > 0.
 
 Lazy sequences get horizon-bounded semi-decisions instead: a Verdict that
 either reports a concrete counterexample index or states the horizon up to
@@ -29,15 +31,11 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import LazyInput, ZeroDivisor
-from .quantity import ExpPoly, Quantity, reader, sub, values
+from .quantity import ExpPoly, IntGroup, Quantity, reader, sub, values
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_WINDOW = 50
 DEFAULT_TOL = Fraction(1, 10**6)
-
-# A parity restriction's dominant ((|base|, power), combined coefficient), or
-# None when the restriction vanishes identically.
-Lead = tuple[tuple[Fraction, int], Fraction] | None
 
 
 class Comparison(Enum):
@@ -89,14 +87,40 @@ class Classification:
     standard_part: Fraction | None = None
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _lead_sign(rows: list[IntGroup]) -> int:
+    # One parity's eventual sign: its first row's a (D > 0), or 0 with no row.
+    return _sign(rows[0][3]) if rows else 0
+
+
+# The row of the constant 1**n.  A row's n**power * |base|**n tends to 0, is
+# 1 or is unbounded as ``_versus`` puts it below, at or above _ONE.
+_ONE = (1, 1, 0, 1)
+
+
+def _versus(row1: IntGroup, row2: IntGroup) -> int:
+    # -1, 0 or +1 as (|base1|, power1) is below, equal to or above
+    # (|base2|, power2), |base| = num / den compared by cross-multiplication.
+    return _sign(row1[0] * row2[1] - row2[0] * row1[1]) or _sign(row1[2] - row2[2])
+
+
+def _limit(rows: list[IntGroup]) -> int | None:
+    # One parity's limit over D: 0 when its first row (if any) tends to 0, a
+    # when it is the constant (1, 1, 0, a) and the next (if any) does; else None.
+    if not rows or _versus(rows[0], _ONE) < 0:
+        return 0
+    if _versus(rows[0], _ONE) == 0 and (len(rows) == 1 or _versus(rows[1], _ONE) < 0):
+        return rows[0][3]
+    return None
 
 
 def eventual_sign(e: ExpPoly) -> ParitySign:
     """Eventual sign of the sequence on each parity class."""
-    even, odd = (0 if lead is None else _sign(lead[1]) for lead in e.leads())
-    return ParitySign(even, odd)
+    even, odd, _ = e.groups()
+    return ParitySign(_lead_sign(even), _lead_sign(odd))
 
 
 def compare(q1: Quantity, q2: Quantity) -> Comparison:
@@ -109,15 +133,9 @@ def compare(q1: Quantity, q2: Quantity) -> Comparison:
     """
     if not (q1.is_closed and q2.is_closed):
         raise LazyInput("compare needs closed forms; use compare_lazy")
-    d = q2.body - q1.body
-    if d.is_zero:
-        return Comparison.EQUAL
-    s = eventual_sign(d)
-    if s.even > 0 and s.odd > 0:
-        return Comparison.LESS
-    if s.even < 0 and s.odd < 0:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
+    s = eventual_sign(q2.body - q1.body)  # (0, 0) exactly when the bodies are equal
+    by_sign = {(1, 1): Comparison.LESS, (0, 0): Comparison.EQUAL, (-1, -1): Comparison.GREATER}
+    return by_sign.get((s.even, s.odd), Comparison.INCOMPARABLE)
 
 
 def check_horizon(horizon: int, window: int = 1) -> tuple[int, int]:
@@ -172,12 +190,6 @@ def compare_lazy(
     return _scan(holds_at, horizon)
 
 
-def _term_vanishes(base: Fraction, power: int) -> bool:
-    # Exactly the terms with limit 0: |b| < 1, or |b| = 1 with power <= -1.
-    ab = abs(base)
-    return ab < 1 or (ab == 1 and power <= -1)
-
-
 def _probe_k(horizon: int) -> int:
     k = 1
     while k * 10 <= horizon // 10:
@@ -188,13 +200,13 @@ def _probe_k(horizon: int) -> int:
 def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """Whether |q| eventually drops below 1/k for every k.
 
-    Closed forms answer exactly (True/False): that property holds iff every
-    term tends to 0.  Lazy sequences get a Verdict testing |q(n)| < 1/k past
+    Closed forms answer exactly (True/False): ``classify`` finds zero or an
+    infinitesimal.  Lazy sequences get a Verdict testing |q(n)| < 1/k past
     the exemption window, with k probed up to horizon/10 (larger k would
     falsely fail honest infinitesimals like (1/n) inside the horizon).
     """
     if q.is_closed:
-        return all(_term_vanishes(base, power) for (base, power), _ in q.body.items())
+        return classify(q).kind in ("zero", "infinitesimal")
     horizon, _ = check_horizon(horizon)
     k, read = _probe_k(horizon), reader(q)
 
@@ -205,27 +217,16 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     return _scan(small_at, horizon)
 
 
-def _growing(key: tuple[Fraction, int]) -> bool:
-    ab, power = key
-    return ab > 1 or (ab == 1 and power >= 1)
-
-
-def _great_sign(leads: tuple[Lead, Lead]) -> int:
-    # +1 or -1 for one-signed unbounded growth on both parities, else 0.
-    even, odd = (0 if lead is None or not _growing(lead[0]) else _sign(lead[1]) for lead in leads)
-    return even if even == odd else 0
-
-
 def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     """+1 if q eventually exceeds every constant, -1 symmetrically, 0 otherwise.
 
-    Needs unbounded one-signed growth on BOTH parity classes; parity-mixed
-    growth such as (0, 2, 0, 4, ...) is not infinitely great.  Lazy sequences
-    get a Verdict: the tail sign is sampled, then |q(n)| > k is required past
-    the exemption window for each probed k.
+    Needs unbounded one-signed growth on BOTH parity classes (``classify``);
+    parity-mixed growth such as (0, 2, 0, 4, ...) is not infinitely great.
+    Lazy sequences get a Verdict: the tail sign is sampled, then |q(n)| > k
+    is required past the exemption window for each probed k.
     """
     if q.is_closed:
-        return _great_sign(q.body.leads())
+        return {"inf+": 1, "inf-": -1}.get(classify(q).kind, 0)
     horizon, _ = check_horizon(horizon)
     bound, read = _probe_k(horizon), reader(q)
     direction = _sign(read(horizon)[0][0])
@@ -253,47 +254,45 @@ def infinitely_greater(q1: Quantity, q2: Quantity) -> bool:
     """
     if not (q1.is_closed and q2.is_closed):
         raise LazyInput("infinitely_greater needs closed forms")
-    for l1, l2, ld in zip(q1.body.leads(), q2.body.leads(), (q1.body - q2.body).leads()):
-        if l2 is None:
-            ok = l1 is not None and l1[1] > 0
-        elif l2[1] < 0:
-            ok = ld is not None and ld[1] > 0
+    (e1, o1, _), (e2, o2, _), (ed, od, _) = (e.groups() for e in (q1.body, q2.body, q1.body - q2.body))
+    for r1, r2, rd in ((e1, e2, ed), (o1, o2, od)):
+        if not r2:
+            ok = _lead_sign(r1) > 0
+        elif r2[0][3] < 0:
+            ok = _lead_sign(rd) > 0
         else:
-            ok = l1 is not None and l1[1] > 0 and l1[0] > l2[0]
+            ok = _lead_sign(r1) > 0 and _versus(r1[0], r2[0]) > 0
         if not ok:
             return False
     return True
 
 
 def infinitely_close(q1: Quantity, q2: Quantity, horizon: int = DEFAULT_HORIZON):
-    """Whether the difference is infinitely small (zero difference counts)."""
-    return is_infinitely_small(sub(q1, q2), horizon)
+    """Whether the difference is infinitely small (zero difference counts); closed forms read bodies only."""
+    closed = q1.is_closed and q2.is_closed
+    return is_infinitely_small(Quantity.closed(q1.body - q2.body) if closed else sub(q1, q2), horizon)
 
 
 def classify(q: Quantity) -> Classification:
     """Exact taxonomy of a closed form.
 
-    zero: empty body.  infinitesimal: nonzero, every term tends to 0.
-    finite: every non-constant term tends to 0; the standard part is the
-    constant term's coefficient.  inf+/inf-: one-signed unbounded growth on
-    both parities.  oscillating: everything else (no limit, no eventual
-    relation to the constants).
+    A parity has a limit (``_limit``) when its first group tends to 0, or is
+    the constant 1**n and the next tends to 0.  With equal limits L on both
+    parities the form is zero (no group), infinitesimal (L = 0) or finite,
+    with standard part L.  inf+/inf-: the first group of both parities grows
+    without bound, with one sign.  oscillating: everything else (no limit,
+    no eventual relation to the constants).
     """
     if not q.is_closed:
         raise LazyInput("classify needs a closed form; use classify_lazy")
-    if q.body.is_zero:
-        return Classification("zero")
-    items = q.body.items()
-    if all(_term_vanishes(base, power) for (base, power), _ in items):
-        return Classification("infinitesimal")
-    if all(_term_vanishes(base, power) or (base, power) == (1, 0) for (base, power), _ in items):
-        return Classification("finite", q.body.coeff(1, 0))
-    g = _great_sign(q.body.leads())
-    if g > 0:
-        return Classification("inf+")
-    if g < 0:
-        return Classification("inf-")
-    return Classification("oscillating")
+    even, odd, den = q.body.groups()
+    limit = _limit(even)
+    if limit is not None and limit == _limit(odd):
+        if limit:
+            return Classification("finite", Fraction(limit, den))
+        return Classification("infinitesimal" if even or odd else "zero")
+    great = tuple(_lead_sign(rows) if rows and _versus(rows[0], _ONE) > 0 else 0 for rows in (even, odd))
+    return Classification({(1, 1): "inf+", (-1, -1): "inf-"}.get(great, "oscillating"))
 
 
 def classify_lazy(

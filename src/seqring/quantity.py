@@ -67,10 +67,8 @@ Key = tuple[int, int, int]
 # Finite index -> value overrides, invisible to Frechet equality and order.
 PrefixPatch = dict[int, Fraction]
 
-# One parity's group of terms, as ``ExpPoly.leads`` gives it: ((|base|, power),
-# combined coefficient).  Inside ``ExpPoly`` a group is the integer tuple
-# (|num|, den, power, a): coefficient a over the common denominator.
-Group = tuple[tuple[Fraction, int], Fraction]
+# One parity's group of terms, as ``ExpPoly.groups`` gives it: the integers
+# (|num|, den, power, a), coefficient a over the form's common denominator.
 IntGroup = tuple[int, int, int, int]
 
 
@@ -158,8 +156,8 @@ class ExpPoly:
     is kept reduced, gcd(D, every a) = 1, which makes it the lcm of the
     coefficients' denominators: equal forms store equal integers, and
     ``__eq__`` and ``__hash__`` read them as they are.  ``Fraction`` is only
-    the boundary: the constructor, ``coeff``, ``items``, ``terms``,
-    ``value_at`` and ``leads`` take or give Fractions.
+    the boundary: the constructor, ``coeff``, ``items``, ``terms`` and
+    ``value_at`` take or give Fractions, and ``groups`` gives the integers.
     """
 
     __slots__ = ("_coeffs", "_den")
@@ -305,28 +303,17 @@ class ExpPoly:
 
         return residue_at
 
-    def leads(self) -> tuple[Group | None, Group | None]:
-        """Per parity of n (even, odd): the dominant group ((|base|, power), coefficient), or None.
+    def groups(self) -> tuple[list[IntGroup], list[IntGroup], int]:
+        """(even, odd, D): per parity of n, the nonzero groups (|num|, den, power, a), largest first.
 
         On even n a term c * n**k * b**n is c * n**k * |b|**n, and on odd n it
         is sign(b) * c * n**k * |b|**n, so the terms of one (|base|, power)
-        group add up to one coefficient per parity.  In (|base| desc, power
-        desc) order the first nonzero group of a parity dominates it, and
-        ``order`` reads its sign; a parity whose groups all cancel gives None.
-        This table is the per-parity certificate behind every exact decision.
+        group add up to one coefficient a / D per parity, over the common
+        denominator D > 0.  In (|base| desc, power desc) order the first group
+        of a parity dominates it and gives its sign, the sign of a; a parity
+        with no group is 0.  This integer table is the certificate behind
+        every exact decision in ``order`` and the hole scan of ``zeros``.
         """
-        def lead(groups: list[IntGroup]) -> Group | None:
-            if not groups:
-                return None
-            num, den, power, a = groups[0]
-            return (Fraction(num, den), power), Fraction(a, self._den)
-
-        even, odd = self._groups()
-        return lead(even), lead(odd)
-
-    def _groups(self) -> tuple[list[IntGroup], list[IntGroup]]:
-        # Per parity (even, odd): the nonzero groups (|num|, den, power, a) of
-        # ``leads``, coefficient a / D, largest first.
         groups: dict[tuple[int, int, int], list[int]] = {}  # (|num|, den, power) -> [even a, odd a]
         for (num, den, power), a in self._coeffs.items():
             odd = a if num > 0 else -a
@@ -338,7 +325,8 @@ class ExpPoly:
                 slot[1] += odd
         big_l = lcm(*{den for _, den, _ in groups})
         keys = sorted(groups, key=lambda k: (k[0] * (big_l // k[1]), k[2]), reverse=True)
-        return tuple([(*k, groups[k][p]) for k in keys if groups[k][p]] for p in (0, 1))
+        even, odd = ([(*k, groups[k][p]) for k in keys if groups[k][p]] for p in (0, 1))
+        return even, odd, self._den
 
     def reflect(self, m: int) -> "ExpPoly":
         """The form t -> self(m - t): the sequence read backwards from index m.
@@ -387,8 +375,8 @@ class ExpPoly:
     def zeros(self, hi: int) -> set[int]:
         """The t in 0..hi - 1 where the value is 0; the powers must be nonnegative.
 
-        On each parity of t (the groups of ``leads``), a parity with no nonzero
-        group is 0 at every t of it, and those t are added with no evaluation.
+        On each parity of t (``groups``), a parity with no group is 0 at
+        every t of it, and those t are added with no evaluation.
         Otherwise the first group outweighs the sum of the others from some T
         on (``_tail_start``), so the value has no zero there, and T does not
         depend on hi.  Only t < min(T, hi) are evaluated exactly: S(t) in
@@ -398,7 +386,7 @@ class ExpPoly:
         """
         holes: set[int] = set()
         window = 0
-        for parity, groups in enumerate(self._groups()):
+        for parity, groups in enumerate(self.groups()[:2]):
             if groups:
                 window = max(window, _tail_start(groups, hi))
             else:
@@ -542,7 +530,7 @@ def _tail_start(groups: list[IntGroup], cap: int) -> int:
     """The least T in 1..cap from which the first of one parity's groups outweighs the rest, else cap.
 
     ``groups`` are one parity's (|num|, den, power, a), largest first, as
-    ``ExpPoly._groups`` gives them.  With the first group (B0, k0, C0), each
+    ``ExpPoly.groups`` gives them.  With the first group (B0, k0, C0), each
     other group j gives the ratio
     rho_j(t) = |Cj / C0| * t**(kj - k0) * (Bj / B0)**t.  T is the least
     t >= 1 at which every rho_j steps down, rho_j(t + 1) <= rho_j(t), and

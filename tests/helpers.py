@@ -54,7 +54,12 @@ def random_patch(rng: random.Random, max_index: int = 100) -> dict:
 
 def naive_value(e: ExpPoly, n: int) -> F:
     """Independent evaluation oracle: the sum of c * n**k * b**n, one term at a time."""
-    return sum((c * F(n) ** k * b**n for (b, k), c in e.items()), F(0))
+    return pairs_value(e.items(), n)
+
+
+def pairs_value(pairs, n: int) -> F:
+    """The sum of c * n**k * b**n over ((b, k), c) pairs of plain Fractions."""
+    return sum((c * F(n) ** k * b**n for (b, k), c in pairs), F(0))
 
 
 def naive_product(a: ExpPoly, b: ExpPoly) -> dict:
@@ -230,6 +235,88 @@ def pointwise_verdict(q1: Quantity, q2: Quantity, indices) -> str:
         a, b = naive_eval(q1, n), naive_eval(q2, n)
         seen.add("less" if a < b else "greater" if a > b else "equal")
     return seen.pop() if len(seen) == 1 else "mixed"
+
+
+# The even index from which the decision references read eventual signs, at
+# SETTLED and SETTLED + 1.  It is late enough for forms over the bases +-1,
+# +-1/2, +-2 and +-3/4 with powers -2..2 and at most 8 terms of integer
+# coefficients up to 18 in magnitude (a difference of two forms of 4 terms
+# up to 9): on one parity a leading group of coefficient at least 1 meets
+# at most 8 others, each under 36 times 1/n (same |b|, lower power) or
+# n**4 * (3/4)**n (smaller |b|), so their sum is below 1 at n >= 1000, and
+# the value there is nonzero with the leading group's sign.
+SETTLED = 1000
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _term_vanishes(b: F, k: int) -> bool:
+    """n**k * b**n tends to 0: |b| < 1, or |b| = 1 and k < 0."""
+    return abs(b) < 1 or (abs(b) == 1 and k < 0)
+
+
+def _term_grows(b: F, k: int) -> bool:
+    """n**k * b**n is unbounded: |b| > 1, or |b| = 1 and k > 0."""
+    return abs(b) > 1 or (abs(b) == 1 and k > 0)
+
+
+def reference_signs(pairs) -> tuple:
+    """The signs of the sum of ((b, k), c) pairs at the even SETTLED and the odd SETTLED + 1."""
+    return tuple(_sign(pairs_value(pairs, n)) for n in (SETTLED, SETTLED + 1))
+
+
+def reference_classify(e: ExpPoly) -> tuple:
+    """(kind, standard part) by the term rules on ``items()`` and ``reference_signs``.
+
+    zero: no term.  infinitesimal: every term tends to 0.  finite: every
+    term tends to 0 but the constant 1**n, whose coefficient is the standard
+    part.  Otherwise the growing terms decide: inf+ (inf-) when their sum is
+    positive (negative) at a large even and a large odd index, where it grows
+    without bound unless it is 0 on that parity, and else oscillating.
+    """
+    items = e.items()
+    if not items:
+        return "zero", None
+    if all(_term_vanishes(b, k) for (b, k), _ in items):
+        return "infinitesimal", None
+    if all(_term_vanishes(b, k) or (b, k) == (1, 0) for (b, k), _ in items):
+        return "finite", dict(items)[(F(1), 0)]
+    signs = reference_signs([(key, c) for key, c in items if _term_grows(*key)])
+    return {(1, 1): "inf+", (-1, -1): "inf-"}.get(signs, "oscillating"), None
+
+
+def reference_dominant(e: ExpPoly, parity: int):
+    """The largest (|b|, k) whose terms do not cancel on indices n with n % 2 == parity, or None.
+
+    On such n the term c * n**k * b**n is c * n**k * |b|**n times sign(b)**parity.
+    """
+    combined: dict = {}
+    for (b, k), c in e.items():
+        combined[(abs(b), k)] = combined.get((abs(b), k), F(0)) + (c if b > 0 or not parity else -c)
+    return max((key for key, c in combined.items() if c), default=None)
+
+
+def reference_infinitely_greater(e1: ExpPoly, e2: ExpPoly) -> bool:
+    """Whether e1 > k * e2 eventually for every natural k, read parity by parity at SETTLED.
+
+    Where e2 is 0, e1 must be positive.  Where e2 is negative, k = 1 binds,
+    so e1 - e2 must be positive.  Where e2 is positive, e1 must be positive
+    and dominate e2 with a larger (|b|, k).
+    """
+    for n in (SETTLED, SETTLED + 1):
+        v1, v2 = naive_value(e1, n), naive_value(e2, n)
+        if v2 == 0:
+            ok = v1 > 0
+        elif v2 < 0:
+            ok = v1 > v2
+        else:
+            d1, d2 = reference_dominant(e1, n % 2), reference_dominant(e2, n % 2)
+            ok = v1 > 0 and d1 > d2
+        if not ok:
+            return False
+    return True
 
 
 def lex_poly_compare(p1: ExpPoly, p2: ExpPoly) -> str:

@@ -28,6 +28,7 @@ from seqring import (
     embed_scalar,
     eval_at,
     eventual_sign,
+    geometric_series_sums,
     infinitely_close,
     infinitely_greater,
     is_infinitely_great,
@@ -459,6 +460,26 @@ def test_identity_close_to_identity_plus_infinitesimal():
 
 def test_unit_gap_not_close():
     assert infinitely_close(N, add(N, embed_scalar(1))) is False
+
+
+def test_close_on_closed_forms_evaluates_no_override(monkeypatch):
+    # A patch changes no Frechet class, so deciding against a form patched at
+    # 10**5 evaluates neither form there, and answers as the unpatched pair.
+    geo = geometric_series_sums(F(2, 3))  # tends to 3
+    advances = []
+    advance = ExpPoly._advance
+
+    def counted(self, n, memo):
+        advances.append(n)
+        return advance(self, n, memo)
+
+    for body, close in ((N, False), (embed_scalar(3), True)):
+        patched = patch(body, {10**5: F(3, 2)})
+        monkeypatch.setattr(ExpPoly, "_advance", counted)
+        verdict = infinitely_close(patched, geo)
+        monkeypatch.undo()
+        assert advances == []
+        assert verdict is infinitely_close(body, geo) is close
 
 
 # ------------------------------------------------------------------

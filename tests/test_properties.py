@@ -1,4 +1,4 @@
-"""Property tests: the product law, parse/render round-trips, order, text, stepped values and tokens against a reference.
+"""Property tests: the product law, parse/render round-trips, order, text, stepped values, tokens and the exact decisions against a reference.
 
 They need ``hypothesis``, which the ``test`` extra of ``pyproject.toml``
 installs (``pip install -e '.[test]'``); without it they are skipped.
@@ -10,11 +10,35 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from helpers import naive_product, naive_value, reference_items, reference_render, reference_tokens
-from hypothesis import given, settings
+from helpers import (
+    SETTLED,
+    naive_product,
+    naive_value,
+    pointwise_verdict,
+    reference_classify,
+    reference_infinitely_greater,
+    reference_items,
+    reference_render,
+    reference_signs,
+    reference_tokens,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqring import ExpPoly, ExprSyntaxError, Quantity, delay, eval_at, patch
+from seqring import (
+    ExpPoly,
+    ExprSyntaxError,
+    Quantity,
+    classify,
+    compare,
+    delay,
+    eval_at,
+    eventual_sign,
+    infinitely_greater,
+    is_infinitely_great,
+    is_infinitely_small,
+    patch,
+)
 from seqring.cli import Config, _tokenize, run_statement
 from seqring.quantity import reader, values
 
@@ -153,3 +177,61 @@ def _cli_tokens(text):
 @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join))
 def test_tokens_match_the_reference(text):
     assert _cli_tokens(text) == reference_tokens(text)
+
+
+# The exact decisions against the references of ``helpers``, which read the
+# terms through ``items()`` and values through ``naive_value`` at large even
+# and odd indices, never the parity table of ``ExpPoly.groups``.  The forms
+# stay inside the class for which SETTLED is late enough.
+DECISION_BASES = [F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-2), F(3, 4), F(-3, 4)]
+decision_forms = st.dictionaries(
+    st.tuples(st.sampled_from(DECISION_BASES), st.integers(-2, 2)),
+    st.integers(-9, 9).filter(bool).map(F),
+    max_size=4,
+).map(ExpPoly)
+
+
+def _edge(*terms) -> ExpPoly:
+    return ExpPoly({(F(b), k): F(c) for c, k, b in terms})
+
+
+# c + c*(-1)^n, c*(-1)^n, b^n + (-b)^n for b = 2 and 3/4, 1/n + (-1)^n/n and
+# n^-2 * 1^n: parity groups that cancel on one parity, and the boundaries
+# |b| = 1 at powers 0, -1 and -2.
+EDGE_FORMS = [
+    _edge((3, 0, 1), (3, 0, -1)),
+    _edge((-3, 0, -1)),
+    _edge((1, 0, 2), (1, 0, -2)),
+    _edge((1, 0, F(3, 4)), (1, 0, F(-3, 4))),
+    _edge((1, -1, 1), (1, -1, -1)),
+    _edge((1, -2, 1)),
+]
+
+
+def _check_decisions(a: ExpPoly, b: ExpPoly) -> None:
+    qa, qb = Quantity.closed(a), Quantity.closed(b)
+    c = classify(qa)
+    kind, standard_part = reference_classify(a)
+    assert (c.kind, c.standard_part) == (kind, standard_part), a
+    s = eventual_sign(a)
+    assert (s.even, s.odd) == reference_signs(a.items()), a
+    assert is_infinitely_small(qa) is (kind in ("zero", "infinitesimal")), a
+    assert is_infinitely_great(qa) == {"inf+": 1, "inf-": -1}.get(kind, 0), a
+    assert infinitely_greater(qa, qb) is reference_infinitely_greater(a, b), (a, b)
+    verdict = pointwise_verdict(qa, qb, (SETTLED, SETTLED + 1))
+    assert compare(qa, qb).value == ("incomparable" if verdict == "mixed" else verdict), (a, b)
+
+
+@SETTINGS
+@given(decision_forms, decision_forms)
+@example(EDGE_FORMS[0], EDGE_FORMS[1])
+def test_decisions_match_the_term_rule_reference(a, b):
+    for x, y in ((a, b), (b, a), (a + b, b), (a, a - b)):
+        _check_decisions(x, y)
+
+
+@pytest.mark.parametrize("a", EDGE_FORMS)
+def test_decisions_on_parity_edge_cases_match_the_reference(a):
+    for b in [*EDGE_FORMS, ExpPoly(), ExpPoly.single(1, 1, 1), ExpPoly.single(-1, 0, 1)]:
+        _check_decisions(a, b)
+        _check_decisions(b, a)
