@@ -22,7 +22,7 @@ from helpers import (
     reference_signs,
     reference_tokens,
 )
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqring import (
@@ -224,7 +224,6 @@ def _check_decisions(a: ExpPoly, b: ExpPoly) -> None:
 
 @SETTINGS
 @given(decision_forms, decision_forms)
-@example(EDGE_FORMS[0], EDGE_FORMS[1])
 def test_decisions_match_the_term_rule_reference(a, b):
     for x, y in ((a, b), (b, a), (a + b, b), (a, a - b)):
         _check_decisions(x, y)
