@@ -19,7 +19,9 @@ integer rows (|num|, den, power, a) of coefficient a / D, D > 0.
 Lazy sequences get horizon-bounded semi-decisions instead: a Verdict that
 either reports a concrete counterexample index or states the horizon up to
 which the claim was checked.  The first tenth of the indices is exempt, as a
-finite-prefix tolerance mirroring "all but finitely many".
+finite-prefix tolerance mirroring "all but finitely many".  A scan reads the
+DAG after ``quantity.fold``, whose values are the same at every index, so a
+lazy input still gets the same Verdict, never an exact answer.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import LazyInput, ZeroDivisor
-from .quantity import ExpPoly, IntGroup, Quantity, reader, sub, values
+from .quantity import ExpPoly, IntGroup, LazySeq, Quantity, as_node, fold, reader, sub, values
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_WINDOW = 50
@@ -175,17 +177,22 @@ def compare_lazy(
     """Pointwise semi-decision of a claimed relation on indices 1..horizon.
 
     The first ceil(horizon/10) indices are exempt; a violation past the
-    exemption window yields Fails with the smallest violating index.
+    exemption window yields Fails with the smallest violating index.  The
+    scan reads the sign of the folded difference q1 + neg(q2)
+    (``quantity.fold``) through one ``reader``: closed leaves fold into one
+    closed form, while "apply" and "delay" nodes, and sums over patched
+    operands, stay lazy.
     """
     horizon, _ = check_horizon(horizon)
     if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
-    ok, read = _CLAIMS[claim], reader(q1, q2)
+    difference = LazySeq("+", (as_node(q1), LazySeq("neg", (as_node(q2),))))
+    ok, read = _CLAIMS[claim], reader(fold(Quantity(None, {}, difference)))
 
     def holds_at(n: int) -> bool:
-        # a/b against c/d with b, d > 0: compare a*d with c*b.
-        (a, b), (c, d) = read(n)
-        return ok(a * d, c * b)
+        # q1(n) - q2(n) = a/b with b > 0 has the sign of a.
+        ((a, _),) = read(n)
+        return ok(a, 0)
 
     return _scan(holds_at, horizon)
 
@@ -203,12 +210,13 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     Closed forms answer exactly (True/False): ``classify`` finds zero or an
     infinitesimal.  Lazy sequences get a Verdict testing |q(n)| < 1/k past
     the exemption window, with k probed up to horizon/10 (larger k would
-    falsely fail honest infinitesimals like (1/n) inside the horizon).
+    falsely fail honest infinitesimals like (1/n) inside the horizon); the
+    scan reads ``fold(q)``.  The horizon is checked first on both paths.
     """
+    horizon, _ = check_horizon(horizon)
     if q.is_closed:
         return classify(q).kind in ("zero", "infinitesimal")
-    horizon, _ = check_horizon(horizon)
-    k, read = _probe_k(horizon), reader(q)
+    k, read = _probe_k(horizon), reader(fold(q))
 
     def small_at(n: int) -> bool:
         ((a, b),) = read(n)  # |a/b| < 1/k with b > 0
@@ -223,12 +231,13 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
     Needs unbounded one-signed growth on BOTH parity classes (``classify``);
     parity-mixed growth such as (0, 2, 0, 4, ...) is not infinitely great.
     Lazy sequences get a Verdict: the tail sign is sampled, then |q(n)| > k
-    is required past the exemption window for each probed k.
+    is required past the exemption window for each probed k; the scan reads
+    ``fold(q)``.  The horizon is checked first on both paths.
     """
+    horizon, _ = check_horizon(horizon)
     if q.is_closed:
         return {"inf+": 1, "inf-": -1}.get(classify(q).kind, 0)
-    horizon, _ = check_horizon(horizon)
-    bound, read = _probe_k(horizon), reader(q)
+    bound, read = _probe_k(horizon), reader(fold(q))
     direction = _sign(read(horizon)[0][0])
     if direction == 0:
         return Verdict.fails(horizon)
@@ -268,7 +277,10 @@ def infinitely_greater(q1: Quantity, q2: Quantity) -> bool:
 
 
 def infinitely_close(q1: Quantity, q2: Quantity, horizon: int = DEFAULT_HORIZON):
-    """Whether the difference is infinitely small (zero difference counts); closed forms read bodies only."""
+    """Whether the difference is infinitely small (zero difference counts); closed forms read bodies only.
+
+    ``is_infinitely_small`` checks the horizon first, on closed forms too.
+    """
     closed = q1.is_closed and q2.is_closed
     return is_infinitely_small(Quantity.closed(q1.body - q2.body) if closed else sub(q1, q2), horizon)
 

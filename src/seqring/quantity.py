@@ -20,11 +20,18 @@ once per index as an unnormalized integer pair (num, den) with den > 0, so
 no intermediate value pays a gcd; each leaf slot steps its closed form from
 one index to the next on integers alone (``ExpPoly._advance``), in a memo of
 its own, so a scan over closed forms builds no Fraction per index.  The lazy
-scans in ``order`` compare the pairs by sign.  Only the public boundary
-reduces a value to a Fraction: ``values`` reads a lazy quantity through one
-``reader``, and a closed form through its one stepping Fraction reader,
-``ExpPoly._fractions``; ``ExpPoly.value_at`` is one read of it, and
-``eval_at`` is one read of ``values``.
+scans in ``order`` read by sign.  Only the public boundary reduces a value
+to a Fraction: ``values`` reads a closed form through its one stepping
+Fraction reader, ``ExpPoly._fractions``, and a lazy quantity through one
+``reader``; ``ExpPoly.value_at`` is one read of it, and ``eval_at`` is one
+read of ``values``.
+
+Sums, products and negations of closed forms stay closed, so ``values``
+and the lazy scans in ``order`` first ``fold`` the DAG: its closed-leaf
+parts become the closed forms that ``ExpPoly`` arithmetic gives, wherever
+those have no more terms than their leaves step per index, and a DAG that
+folds completely reads as its closed form.  "apply" and "delay" nodes stay
+lazy over folded operands, and so does a "+" or "*" over a patched operand.
 
 ``ExpPoly`` keeps a closed form on integers: each base as a reduced
 (num, den) pair and each coefficient as an integer numerator over one
@@ -609,6 +616,44 @@ class LazySeq:
         return f"({parts[0]} {op} {parts[1]})"
 
 
+def fold(q: Quantity) -> Quantity:
+    """q with its closed-leaf sub-DAGs folded to closed forms; equal to q at every index.
+
+    One walk (``_post_order``) replaces each "neg" over a closed form, and
+    each "+" or "*" over two patch-free closed forms, by the closed form
+    that ``ExpPoly`` arithmetic gives, where that form has no more terms
+    than the distinct leaves under the node, which a ``reader`` would step
+    per index.  The rest stays lazy over folded operands: "apply" and
+    "delay" nodes (a closed delay writes m prefix entries), a "+" or "*"
+    over a patched operand (a closed one evaluates its operands at every
+    override), and a "+" or "*" whose closed form would outgrow its leaves,
+    such as a product of two distinct 3-term forms.  A node whose operands
+    did not change is kept, so shared nodes stay shared.  A DAG that folds
+    completely comes back closed.
+    """
+    if q.is_closed:
+        return q
+    folded: dict[LazySeq, LazySeq] = {}  # node -> its folded node
+    steps: dict[LazySeq, dict[int, int]] = {}  # folded leaf -> {id of each leaf's form under it: its term count}
+    for node in _post_order(q.seq, operator.attrgetter("args"), lambda node: node, folded):
+        op, args = node.op, tuple([folded[a] for a in node.args])
+        closed = None
+        if op == "leaf":
+            steps[node] = {id(node.data): len(node.data.body._coeffs)}
+        elif op == "neg" and args[0].op == "leaf":
+            closed, under = _negated(args[0].data), steps[args[0]]
+        elif op in ("+", "*") and all(a.op == "leaf" and not a.data.patch for a in args):
+            x, y = args[0].data.body, args[1].data.body
+            closed, under = Quantity(x + y if op == "+" else x * y, {}, None), {**steps[args[0]], **steps[args[1]]}
+        if closed is not None and len(closed.body._coeffs) <= sum(under.values()):
+            folded[node] = leaf = LazySeq("leaf", (), closed)
+            steps[leaf] = under
+        else:
+            folded[node] = node if args == node.args else LazySeq(op, args, node.data)
+    root = folded[q.seq]
+    return root.data if root.op == "leaf" else Quantity(None, {}, root)
+
+
 def _post_order(root, operands: Callable, key: Callable, done) -> Iterable:
     """The items of root's DAG, operands first, skipping those whose key is in ``done``.
 
@@ -897,11 +942,15 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
 def values(q: Quantity) -> Callable[[int], Fraction]:
     """n -> q's exact value at n >= 1 as a Fraction, for loops over indices.
 
-    A closed q returns its override at a patched index and reads its body
-    through the body's one stepping reader (``ExpPoly._fractions``) at any
-    other.  A lazy q, an evaluator's "apply" node included, is read through
-    one ``reader``, and its pair is reduced to a Fraction.
+    q is folded first (``fold``).  A closed result returns its override at a
+    patched index and reads its body through the body's one stepping reader
+    (``ExpPoly._fractions``) at any other, so a lazy DAG that folds
+    completely builds no ``reader``.  What stays lazy ("apply" and "delay"
+    nodes, sums and products over patched operands or that would outgrow
+    their leaves) is read through one ``reader``, and its pair is reduced to
+    a Fraction.
     """
+    q = fold(q)
     if q.is_closed:
         read, patch = q.body._fractions(), q.patch
         value = lambda n: patch[n] if n in patch else read(n)
@@ -944,8 +993,13 @@ def neg(q) -> Quantity:
     """
     q = _coerce(q)
     if q.is_closed:
-        return Quantity(-q.body, {i: v and -v for i, v in q.patch.items()}, None)
+        return _negated(q)
     return Quantity(None, {}, LazySeq("neg", (q.seq,)))
+
+
+def _negated(q: Quantity) -> Quantity:
+    # The negation of a closed q, patch included (see ``neg``).
+    return Quantity(-q.body, {i: v and -v for i, v in q.patch.items()}, None)
 
 
 def sub(q1, q2) -> Quantity:

@@ -172,6 +172,27 @@ def oracle_probe_k(horizon: int) -> int:
     return 10 ** (len(str(horizon // 10)) - 1)
 
 
+def oracle_compare(f1, f2, claim, horizon: int) -> tuple:
+    """compare_lazy's verdict from mirrors: ``claim`` ("less", "equal" or "greater" in its value) at each index."""
+    ok = {"less": lambda a, b: a < b, "equal": lambda a, b: a == b, "greater": lambda a, b: a > b}[claim.value]
+    return oracle_scan(lambda n: ok(f1(n), f2(n)), horizon)
+
+
+def oracle_small(f, horizon: int) -> tuple:
+    """is_infinitely_small's verdict from a mirror: |f(n)| < 1/k at each index."""
+    k = oracle_probe_k(horizon)
+    return oracle_scan(lambda n: abs(f(n)) < F(1, k), horizon)
+
+
+def oracle_great(f, horizon: int) -> tuple:
+    """is_infinitely_great's verdict from a mirror: the sign at the horizon, then |f(n)| > k with it."""
+    direction = (f(horizon) > 0) - (f(horizon) < 0)
+    if direction == 0:
+        return ("fails", horizon)
+    k = oracle_probe_k(horizon)
+    return oracle_scan(lambda n: f(n) * direction > k, horizon)
+
+
 # Bodies that vanish at some index below 1 once read at n - m, so that a zero
 # prefix built over them meets indices where the body is already 0:
 # N + 3, N^2 - 9, 2^n - (1/2)^n, 1 + (-1)^n and N^3 - N^2*(-1)^n - 3N + 3*(-1)^n

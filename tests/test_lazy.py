@@ -7,9 +7,12 @@ match a ``Fraction`` scan of the mirror values, witness included.  DAGs reuse
 subexpressions, so one leaf is read at several shifts in one walk.
 """
 
+import operator
 import random
 from fractions import Fraction as F
 from functools import partial
+
+import pytest
 
 from helpers import (
     ALL_BASES,
@@ -21,10 +24,11 @@ from helpers import (
     mirror_neg,
     mirror_pow,
     mirror_sub,
-    oracle_probe_k,
-    oracle_scan,
     random_quantity,
 )
+from helpers import oracle_compare as _compare_oracle
+from helpers import oracle_great as _great_oracle
+from helpers import oracle_small as _small_oracle
 
 from seqring import (
     Comparison,
@@ -33,6 +37,7 @@ from seqring import (
     add,
     compare_lazy,
     delay,
+    embed_scalar,
     eval_at,
     is_infinitely_great,
     is_infinitely_small,
@@ -42,8 +47,10 @@ from seqring import (
     pow_int,
     sub,
 )
+from seqring import quantity
 from seqring.calculus import RealFunction, extend
 from seqring.order import first_checked_index
+from seqring.quantity import fold, reader, values
 
 N = Quantity.closed(ExpPoly.single(1, 1, 1))
 RECIP = Quantity.closed(ExpPoly.single(1, -1, 1))
@@ -127,25 +134,6 @@ def test_random_dags_match_the_mirror_in_every_access_order():
     assert lazy >= 90
 
 
-def _compare_oracle(f1, f2, claim: Comparison, h: int) -> tuple:
-    ok = {Comparison.LESS: lambda a, b: a < b, Comparison.EQUAL: lambda a, b: a == b,
-          Comparison.GREATER: lambda a, b: a > b}[claim]
-    return oracle_scan(lambda n: ok(f1(n), f2(n)), h)
-
-
-def _small_oracle(f, h: int) -> tuple:
-    k = oracle_probe_k(h)
-    return oracle_scan(lambda n: abs(f(n)) < F(1, k), h)
-
-
-def _great_oracle(f, h: int) -> tuple:
-    direction = (f(h) > 0) - (f(h) < 0)
-    if direction == 0:
-        return ("fails", h)
-    k = oracle_probe_k(h)
-    return oracle_scan(lambda n: f(n) * direction > k, h)
-
-
 def test_random_dag_verdicts_match_a_fraction_scan():
     rng = random.Random(7071)
     statuses = set()
@@ -227,10 +215,18 @@ def test_one_leaf_read_at_two_shifts_steps_at_both():
     assert compare_lazy(y, delay(y, 1), Comparison.LESS, 300).status == "holds"
 
 
+def _reader_holds(q1, q2, ok, h: int) -> bool:
+    """Whether ok(q1(n), q2(n)) at every checked n <= h, read through one unfolded ``reader`` of both."""
+    read = reader(q1, q2)
+    return all(ok(a * d, c * b) for (a, b), (c, d) in map(read, range(first_checked_index(h), h + 1)))
+
+
 def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
     # A read of a closed form at n returns its body's memo at n or steps the
     # memo at n - 1, so two readers at one index step the body once per index,
     # and readers at n and n - 1 step it twice.  Each scan reads a fresh body.
+    # compare_lazy folds x - (x + 1) to the closed form -1 and steps x's body
+    # never, so the first two scans read the unfolded DAGs through ``reader``.
     coeffs = {(F(1), 2): F(1), (F(2), 0): F(3, 5), (F(3), 1): F(-2, 3), (F(-1), 0): F(7)}
     body = None
     steps = []  # per _advance call on body: whether it stepped from n - 1
@@ -251,12 +247,15 @@ def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
     h = 300
     scanned = h - first_checked_index(h) + 1
     x = fresh()
-    assert compare_lazy(x.as_lazy(), add(x.as_lazy(), 1), Comparison.LESS, h).status == "holds"
+    assert _reader_holds(x.as_lazy(), add(x.as_lazy(), 1), operator.lt, h)
     assert len(steps) == scanned and steps.count(False) == 1
+    steps.clear()
+    assert compare_lazy(x.as_lazy(), add(x.as_lazy(), 1), Comparison.LESS, h).status == "holds"
+    assert steps == []
     # extend's operand and the leaf are one closed form, so they share one reader slot.
     x = fresh()
-    same = compare_lazy(extend(RealFunction("id", F), x), x.as_lazy(), Comparison.EQUAL, h)
-    assert same.status == "holds" and len(steps) == scanned and steps.count(False) == 1
+    same = _reader_holds(extend(RealFunction("id", F), x), x.as_lazy(), operator.eq, h)
+    assert same and len(steps) == scanned and steps.count(False) == 1
     y = fresh().as_lazy()
     eval_at(y, 1000)  # a stale memo, which the first two reads below must evict
     steps.clear()
@@ -268,6 +267,7 @@ def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
 def test_shared_nodes_are_evaluated_once_per_index(monkeypatch):
     # x + x nested 12 times reads its leaf 4096 times per index as a tree; a
     # reader evaluates each shared node, and so each leaf, once per index.
+    # The DAGs are read unfolded: ``fold`` would make N's case one closed form.
     advances = []
     advance = ExpPoly._advance
 
@@ -288,7 +288,7 @@ def test_shared_nodes_are_evaluated_once_per_index(monkeypatch):
         x = leaf
         for _ in range(12):
             x = add(x, x)
-        assert compare_lazy(x, add(x, 1), Comparison.LESS, h).status == "holds"
+        assert _reader_holds(x, add(x, 1), operator.lt, h)
         assert reads == list(range(first_checked_index(h), h + 1)), len(reads)
 
 
@@ -336,6 +336,66 @@ def test_a_closed_leaf_scan_builds_no_fraction_per_index(monkeypatch):
         assert compare_lazy(y, add(delay(y, 1), y), Comparison.LESS, h).status == "holds"
         counts.append(len(built))
     assert counts == [0, 0]
+
+
+def test_a_sum_over_a_far_patch_stays_lazy_and_never_reads_the_patched_index(monkeypatch):
+    # A closed sum would evaluate both operands at the override 3 000 000;
+    # the fold keeps a "+" over a patched operand lazy, so scans to 1000 and
+    # reads of values step no body past the indices they read.
+    far = patch(N, {3_000_000: F(5)})
+    q = add(far.as_lazy(), mul(N.as_lazy(), 2))  # 3n, and 5 at 3 000 000
+    three = mul(N, 3)
+    advanced = []
+    advance = ExpPoly._advance
+    monkeypatch.setattr(ExpPoly, "_advance", lambda self, n, memo: advanced.append(n) or advance(self, n, memo))
+    assert fold(q).seq.op == "+"
+    h = 1000
+    for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
+        got = _verdict(compare_lazy(q, three, claim, h))
+        assert got == _compare_oracle(lambda n: F(3 * n), lambda n: F(3 * n), claim, h)
+    assert _verdict(is_infinitely_great(q, h)) == ("holds", h)
+    assert _verdict(is_infinitely_small(q, h)) == ("fails", first_checked_index(h))
+    value = values(q)
+    assert [value(n) for n in (1, 7, 999)] == [3, 21, 2997]
+    assert advanced and max(advanced) <= h
+
+
+def test_a_product_of_two_three_term_leaves_stays_lazy():
+    # Its closed product has 9 terms where its two leaves step 6 per index,
+    # so the fold keeps the "*", and the verdicts still match the mirror.
+    a = Quantity.closed(ExpPoly({(F(1), 1): F(1), (F(2), 0): F(1), (F(1, 2), 0): F(1)}))
+    b = Quantity.closed(ExpPoly({(F(3), 0): F(1), (F(-1), 0): F(2), (F(1), 2): F(-1)}))
+    product = mul(a.as_lazy(), b)
+    assert len((a.body * b.body).items()) == 9
+    folded = fold(product)
+    assert not folded.is_closed and folded.seq.op == "*"
+    fp = mirror_mul(mirror_closed(a), mirror_closed(b))
+    closed = mul(a, b)
+    h = 200
+    others = [
+        (embed_scalar(0), lambda n: F(0)),
+        (closed, mirror_closed(closed)),
+        (delay(closed, 1), mirror_delay(mirror_closed(closed), 1)),
+    ]
+    for other, fo in others:
+        for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
+            got = _verdict(compare_lazy(product, other, claim, h))
+            assert got == _compare_oracle(fp, fo, claim, h), (other.render(), claim)
+
+
+def test_values_of_a_dag_that_folds_completely_builds_no_reader(monkeypatch):
+    # Sums, products and negations of closed leaves fold to one closed form,
+    # which values reads through the closed form's own stepping reader.
+    x = Quantity.closed(ExpPoly.single(1, 0, F(3, 7)))
+    y = Quantity.closed(ExpPoly({(F(1), 1): F(1), (F(-2), 0): F(1, 3)}))
+    q = sub(mul(x.as_lazy(), 2), add(neg(x.as_lazy()), y))  # 3x - y
+    closed = sub(mul(x, 3), y)
+    monkeypatch.setattr(quantity, "reader", lambda *qs: pytest.fail("values built a reader"))
+    assert fold(q) == closed
+    got, want, mirror = values(q), values(closed), mirror_closed(closed)
+    for n in (1, 2, 3, 50, 49, 100, 2):
+        assert got(n) == want(n) == mirror(n), n
+    assert eval_at(x.as_lazy(), 100_000) == mirror_closed(x)(100_000)
 
 
 def test_delays_of_one_body_keep_at_most_two_memos():

@@ -222,6 +222,26 @@ def test_lazy_scans_reject_a_horizon_below_one_before_evaluating(scan, horizon):
     assert evaluated == []
 
 
+# A closed form gets an exact answer that reads no index, but the horizon it
+# is given is checked all the same, as on the lazy path.
+def test_is_infinitely_small_checks_the_horizon_of_a_closed_form():
+    with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+        is_infinitely_small(N, horizon=0)
+    assert is_infinitely_small(N, horizon=1) is False
+
+
+def test_is_infinitely_great_checks_the_horizon_of_a_closed_form():
+    with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+        is_infinitely_great(N, horizon=-5)
+    assert is_infinitely_great(N, horizon=1) == 1
+
+
+def test_infinitely_close_checks_the_horizon_of_closed_forms():
+    with pytest.raises(TypeError):
+        infinitely_close(N, N, horizon="x")
+    assert infinitely_close(N, N, horizon=1) is True
+
+
 @pytest.mark.parametrize(
     "horizon, window, message",
     [

@@ -1,10 +1,11 @@
-"""Property tests: the product law, parse/render round-trips, order, text, stepped values, tokens and the exact decisions against a reference.
+"""Property tests: the product law, parse/render round-trips, order, text, stepped values, tokens, the exact decisions against a reference and folded lazy reads against mirrors.
 
 They need ``hypothesis``, which the ``test`` extra of ``pyproject.toml``
 installs (``pip install -e '.[test]'``); without it they are skipped.
 """
 
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -12,8 +13,16 @@ pytest.importorskip("hypothesis")
 
 from helpers import (
     SETTLED,
+    mirror_add,
+    mirror_closed,
+    mirror_delay,
+    mirror_mul,
+    mirror_neg,
     naive_product,
     naive_value,
+    oracle_compare,
+    oracle_great,
+    oracle_small,
     pointwise_verdict,
     reference_classify,
     reference_infinitely_greater,
@@ -26,17 +35,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqring import (
+    Comparison,
     ExpPoly,
     ExprSyntaxError,
     Quantity,
+    add,
     classify,
     compare,
+    compare_lazy,
     delay,
     eval_at,
     eventual_sign,
     infinitely_greater,
     is_infinitely_great,
     is_infinitely_small,
+    mul,
+    neg,
     patch,
 )
 from seqring.cli import Config, _tokenize, run_statement
@@ -154,6 +168,65 @@ def test_stepped_values_reduce_to_the_naive_value(body, entries, runs, m):
         assert [F(*pair) for pair in pairs] == [want(n), naive_value(body, n), lagged], n
         assert value(n) == eval_at(q, n) == want(n), n
         assert body.value_at(n) == naive_value(body, n), n
+
+
+# Lazy DAGs as (quantity, mirror) pairs: closed leaves, some patched and some
+# lowered with as_lazy, evaluators, and "+", "*", "neg" and "delay" over them,
+# with an operand sometimes used twice.  A closed leaf's powers are
+# nonnegative, so a closed delay needs no as_lazy.
+def _opaque(a: int, b: int, c: int, n: int) -> F:
+    return F(a * n + b * (-1) ** n, n + c)
+
+
+def _leaf(body: ExpPoly, entries: dict, lower: bool) -> tuple:
+    q = Quantity.closed(body, entries)
+    return (q.as_lazy() if lower else q), mirror_closed(q)
+
+
+lazy_leaves = st.builds(
+    _leaf,
+    st.dictionaries(st.tuples(st.sampled_from(STEP_BASES), st.integers(0, 2)), nonzero, max_size=3).map(ExpPoly),
+    st.dictionaries(st.integers(1, 30), rationals, max_size=2),
+    st.booleans(),
+)
+evaluators = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 3)).map(
+    lambda abc: (Quantity.lazy(partial(_opaque, *abc), "opaque"), partial(_opaque, *abc))
+)
+
+
+def _grown(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: (add(p[0][0], p[1][0]), mirror_add(p[0][1], p[1][1]))),
+        pairs.map(lambda p: (mul(p[0][0], p[1][0]), mirror_mul(p[0][1], p[1][1]))),
+        children.map(lambda p: (add(p[0], p[0]), mirror_add(p[1], p[1]))),
+        children.map(lambda p: (mul(p[0], neg(p[0])), mirror_mul(p[1], mirror_neg(p[1])))),
+        children.map(lambda p: (neg(p[0]), mirror_neg(p[1]))),
+        st.tuples(children, st.integers(1, 3)).map(lambda p: (delay(p[0][0], p[1]), mirror_delay(p[0][1], p[1]))),
+    )
+
+
+lazy_dags = st.recursive(st.one_of(lazy_leaves, lazy_leaves, evaluators), _grown, max_leaves=6)
+
+
+@SETTINGS
+@given(lazy_dags, lazy_dags, st.integers(10, 50), st.lists(st.integers(1, 60), min_size=1, max_size=8))
+def test_folded_scans_and_values_match_the_mirrors(x, y, h, indices):
+    # The lazy scans and values read DAGs after quantity.fold; the mirrors
+    # read the same operations as plain Fraction closures, never folded.
+    (q1, f1), (q2, f2) = x, y
+    q1 = q1.as_lazy()
+    for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
+        got = compare_lazy(q1, q2, claim, h)
+        assert _verdict(got) == oracle_compare(f1, f2, claim, h), (q1.render(), q2.render(), claim, h)
+    assert _verdict(is_infinitely_small(q1, h)) == oracle_small(f1, h), (q1.render(), h)
+    assert _verdict(is_infinitely_great(q1, h)) == oracle_great(f1, h), (q1.render(), h)
+    value = values(q1)
+    assert [value(n) for n in indices] == [f1(n) for n in indices], q1.render()
+
+
+def _verdict(v) -> tuple:
+    return (v.status, v.witness if v.status == "fails" else v.checked_up_to)
 
 
 # Characters on which str.isalpha, str.isdecimal and re's \w and \d part ways
