@@ -179,9 +179,10 @@ def compare_lazy(
     The first ceil(horizon/10) indices are exempt; a violation past the
     exemption window yields Fails with the smallest violating index.  The
     scan reads the sign of the folded difference q1 + neg(q2)
-    (``quantity.fold``) through one ``reader``: closed leaves fold into one
-    closed form, while "apply" and "delay" nodes, and sums over patched
-    operands, stay lazy.
+    (``quantity.fold``) through one ``reader``: sums and products of closed
+    leaves, negated ones included, fold into one closed form, while "apply"
+    and "delay" nodes, sums over patched operands and a "neg" left below
+    them stay lazy, so a leaf read by both sides is stepped once.
     """
     horizon, _ = check_horizon(horizon)
     if claim not in _CLAIMS:

@@ -27,11 +27,13 @@ Fraction reader, ``ExpPoly._fractions``, and a lazy quantity through one
 read of ``values``.
 
 Sums, products and negations of closed forms stay closed, so ``values``
-and the lazy scans in ``order`` first ``fold`` the DAG: its closed-leaf
-parts become the closed forms that ``ExpPoly`` arithmetic gives, wherever
-those have no more terms than their leaves step per index, and a DAG that
-folds completely reads as its closed form.  "apply" and "delay" nodes stay
-lazy over folded operands, and so does a "+" or "*" over a patched operand.
+and the lazy scans in ``order`` first ``fold`` the DAG: a sum or product of
+closed forms (or their negations) becomes the closed form that ``ExpPoly``
+arithmetic gives, wherever that has no more terms than its operands step
+per index, and a DAG that folds completely reads as its closed form.  A
+"neg" below the root stays lazy, so it shares its leaf's slot; "apply" and
+"delay" nodes stay lazy over folded operands, and so does a "+" or "*"
+over a patched operand.
 
 ``ExpPoly`` keeps a closed form on integers: each base as a reduced
 (num, den) pair and each coefficient as an integer numerator over one
@@ -619,39 +621,46 @@ class LazySeq:
 def fold(q: Quantity) -> Quantity:
     """q with its closed-leaf sub-DAGs folded to closed forms; equal to q at every index.
 
-    One walk (``_post_order``) replaces each "neg" over a closed form, and
-    each "+" or "*" over two patch-free closed forms, by the closed form
-    that ``ExpPoly`` arithmetic gives, where that form has no more terms
-    than the distinct leaves under the node, which a ``reader`` would step
-    per index.  The rest stays lazy over folded operands: "apply" and
-    "delay" nodes (a closed delay writes m prefix entries), a "+" or "*"
-    over a patched operand (a closed one evaluates its operands at every
-    override), and a "+" or "*" whose closed form would outgrow its leaves,
-    such as a product of two distinct 3-term forms.  A node whose operands
-    did not change is kept, so shared nodes stay shared.  A DAG that folds
-    completely comes back closed.
+    One walk (``_post_order``) replaces each "+" or "*" whose operands are
+    patch-free closed forms, each a leaf or a "neg" over one, by the closed
+    form that ``ExpPoly`` arithmetic gives, where that form has no more
+    terms than the operands' forms, which a ``reader`` would step per index
+    (once when both are one form).  A "neg" folds only at the root, where
+    nothing else reads its leaf; below it a "neg" stays lazy and shares its
+    leaf's slot with the other readers of that leaf.  The rest stays lazy
+    over folded operands: "apply" and "delay" nodes (a closed delay writes
+    m prefix entries), a "+" or "*" over a patched operand (a closed one
+    evaluates its operands at every override), and a "+" or "*" whose
+    closed form would outgrow its operands, such as a product of two
+    distinct 3-term forms.  A node whose operands did not change is kept,
+    so shared nodes stay shared.  A DAG that folds completely comes back
+    closed.
     """
     if q.is_closed:
         return q
     folded: dict[LazySeq, LazySeq] = {}  # node -> its folded node
-    steps: dict[LazySeq, dict[int, int]] = {}  # folded leaf -> {id of each leaf's form under it: its term count}
     for node in _post_order(q.seq, operator.attrgetter("args"), lambda node: node, folded):
         op, args = node.op, tuple([folded[a] for a in node.args])
-        closed = None
-        if op == "leaf":
-            steps[node] = {id(node.data): len(node.data.body._coeffs)}
-        elif op == "neg" and args[0].op == "leaf":
-            closed, under = _negated(args[0].data), steps[args[0]]
-        elif op in ("+", "*") and all(a.op == "leaf" and not a.data.patch for a in args):
-            x, y = args[0].data.body, args[1].data.body
-            closed, under = Quantity(x + y if op == "+" else x * y, {}, None), {**steps[args[0]], **steps[args[1]]}
-        if closed is not None and len(closed.body._coeffs) <= sum(under.values()):
-            folded[node] = leaf = LazySeq("leaf", (), closed)
-            steps[leaf] = under
-        else:
-            folded[node] = node if args == node.args else LazySeq(op, args, node.data)
+        if op in ("+", "*"):
+            (a, x), (b, y) = map(_signed_form, args)
+            if x is not None and y is not None:
+                body = x + y if op == "+" else x * y
+                if len(body._coeffs) <= len(x._coeffs) + (0 if a is b else len(y._coeffs)):
+                    folded[node] = LazySeq("leaf", (), Quantity(body, {}, None))
+                    continue
+        folded[node] = node if args == node.args else LazySeq(op, args, node.data)
     root = folded[q.seq]
+    if root.op == "neg" and root.args[0].op == "leaf":
+        return _negated(root.args[0].data)
     return root.data if root.op == "leaf" else Quantity(None, {}, root)
+
+
+def _signed_form(node: LazySeq) -> tuple:
+    # (closed form, the body node reads) of a patch-free "leaf" or a "neg" over one, else (None, None).
+    leaf = node.args[0] if node.op == "neg" else node
+    if leaf.op != "leaf" or leaf.data.patch:
+        return None, None
+    return leaf.data, (leaf.data.body if leaf is node else -leaf.data.body)
 
 
 def _post_order(root, operands: Callable, key: Callable, done) -> Iterable:
@@ -947,7 +956,7 @@ def values(q: Quantity) -> Callable[[int], Fraction]:
     (``ExpPoly._fractions``) at any other, so a lazy DAG that folds
     completely builds no ``reader``.  What stays lazy ("apply" and "delay"
     nodes, sums and products over patched operands or that would outgrow
-    their leaves) is read through one ``reader``, and its pair is reduced to
+    their operands) is read through one ``reader``, and its pair is reduced to
     a Fraction.
     """
     q = fold(q)
