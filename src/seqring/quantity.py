@@ -621,20 +621,18 @@ class LazySeq:
 def fold(q: Quantity) -> Quantity:
     """q with its closed-leaf sub-DAGs folded to closed forms; equal to q at every index.
 
-    One walk (``_post_order``) replaces each "+" or "*" whose operands are
-    patch-free closed forms, each a leaf or a "neg" over one, by the closed
-    form that ``ExpPoly`` arithmetic gives, where that form has no more
-    terms than the operands' forms, which a ``reader`` would step per index
-    (once when both are one form).  A "neg" folds only at the root, where
-    nothing else reads its leaf; below it a "neg" stays lazy and shares its
-    leaf's slot with the other readers of that leaf.  The rest stays lazy
-    over folded operands: "apply" and "delay" nodes (a closed delay writes
-    m prefix entries), a "+" or "*" over a patched operand (a closed one
-    evaluates its operands at every override), and a "+" or "*" whose
-    closed form would outgrow its operands, such as a product of two
-    distinct 3-term forms.  A node whose operands did not change is kept,
-    so shared nodes stay shared.  A DAG that folds completely comes back
-    closed.
+    One walk (``_post_order``) replaces each "+" or "*" over two patch-free
+    closed forms, each a leaf or a "neg" over one, by the closed form that
+    ``ExpPoly`` arithmetic gives, where that form has no more terms than the
+    operands' forms, which a ``reader`` steps per index (one slot when both
+    are one form).  A "neg" folds only at the root: below it, it keeps
+    reading its leaf's shared slot.  "apply" and "delay" nodes (a closed
+    delay writes m prefix entries) stay lazy over folded operands, and so do
+    a "+" or "*" over a patched operand (a closed one evaluates its operands
+    at every override) and one whose closed form would outgrow its
+    operands, such as a product of two distinct 3-term forms.  Unchanged
+    nodes are kept, so shared nodes stay shared, and a DAG that folds
+    completely comes back closed.
     """
     if q.is_closed:
         return q

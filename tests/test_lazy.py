@@ -404,6 +404,10 @@ def test_values_of_a_dag_that_folds_completely_builds_no_reader(monkeypatch):
     for n in (1, 2, 3, 50, 49, 100, 2):
         assert got(n) == want(n) == mirror(n), n
     assert eval_at(x.as_lazy(), 100_000) == mirror_closed(x)(100_000)
+    # A "neg" folds at the root, where nothing else reads its leaf, patch included.
+    p = patch(y, {2: F(5)})
+    assert fold(neg(p.as_lazy())) == neg(p)
+    assert [eval_at(neg(p.as_lazy()), n) for n in (1, 2, 3)] == [mirror_neg(mirror_closed(p))(n) for n in (1, 2, 3)]
 
 
 def test_delays_of_one_body_keep_at_most_two_memos():
