@@ -112,15 +112,15 @@ def standard_part(
     when the quantity is infinitely great or oscillating).  Lazy sequences
     are sampled over the last ``window`` indices up to ``horizon`` and yield
     a StEstimate with the tail median and observed spread; the caller judges
-    the spread against its own tolerance.  A lazy sample needs
+    the spread against its own tolerance.  Both paths first need
     1 <= window <= horizon (ValueError otherwise).
     """
+    horizon, window = check_horizon(horizon, window)
     if q.is_closed:
         c = classify(q)
         if c.kind not in ("zero", "infinitesimal", "finite"):
             raise NotFinite(f"no standard part: quantity is {c.kind}")
         return c.standard_part or Fraction(0)
-    horizon, window = check_horizon(horizon, window)
     samples = sorted(map(values(q), range(horizon - window + 1, horizon + 1)))
     mid = len(samples) // 2
     if len(samples) % 2:

@@ -21,7 +21,13 @@ either reports a concrete counterexample index or states the horizon up to
 which the claim was checked.  The first tenth of the indices is exempt, as a
 finite-prefix tolerance mirroring "all but finitely many".  A scan reads the
 DAG after ``quantity.fold``, whose values are the same at every index, so a
-lazy input still gets the same Verdict, never an exact answer.
+lazy input still gets the same Verdict, never an exact answer.  When the
+folded DAG is one closed form, the scan reads it pointwise only below its
+tail start N0 (``ExpPoly.tail_start``), past which the parity table fixes
+every sign, and takes the rest of the verdict from that table: a claim that
+holds there holds at every index from the first checked one on, and one that
+fails there fails first at the first index past N0 that no override covers.
+The verdict and witness are the full scan's.
 """
 
 from __future__ import annotations
@@ -160,12 +166,54 @@ def first_checked_index(horizon: int) -> int:
     return -(-horizon // 10) + 1
 
 
-def _scan(ok: Callable[[int], bool], horizon: int) -> Verdict:
-    """Fails at the first index past the exempt window where ok is false, else holds."""
-    for n in range(first_checked_index(horizon), horizon + 1):
+def _scan(ok: Callable[[int], bool], horizon: int, end: int | None = None) -> Verdict:
+    """Fails at the first index from the first checked one to ``end`` (the horizon) where ok is false, else holds."""
+    for n in range(first_checked_index(horizon), (horizon if end is None else end) + 1):
         if not ok(n):
             return Verdict.fails(n)
     return Verdict.holds(horizon)
+
+
+def _claim_scan(
+    q: Quantity,
+    read: Callable[[int], list[tuple[int, int]]],
+    ok: Callable[[int, int], bool],
+    claims: list[tuple[int, int, Callable[[int, int], bool]]],
+    horizon: int,
+) -> Verdict:
+    """The verdict of ok(a, b) at each checked index, for q(n) = a/b (b > 0) as ``read`` gives it.
+
+    q is folded and ``read`` is ``reader(q)``.  ok holds exactly where every
+    sign claim (c, k, op) does: op(c + k * q(n), 0), for integers c and k.
+    A lazy q is read at every checked index (``_scan``).  A closed q is read
+    only below N0, the largest ``ExpPoly.tail_start`` of the claims' closed
+    forms c + k * body.  From N0 on, each form has at every non-override
+    index of a parity the sign of that parity's lead group (0 with no
+    group).  A claim that such a sign breaks fails first at the parity's
+    first non-override index at or past max(first checked, N0), and each
+    override up to the horizon is checked as the value it holds.  The
+    verdict and witness are the full scan's.
+    """
+    holds_at = lambda n: ok(*read(n)[0])
+    if not q.is_closed:
+        return _scan(holds_at, horizon)
+    body, patch = q.body, q.patch
+    forms = [(ExpPoly.constant(c) + body.scale(k), op) for c, k, op in claims]
+    tail = max(form.tail_start(horizon + 1) for form, _ in forms)
+    verdict = _scan(holds_at, horizon, min(horizon, tail - 1))
+    if verdict.status == "fails":
+        return verdict
+    start = max(first_checked_index(horizon), tail)
+    witnesses = [i for i, v in patch.items() if start <= i <= horizon and not ok(v.numerator, v.denominator)]
+    for form, op in forms:
+        for parity, rows in enumerate(form.groups()[:2]):  # even n, then odd n
+            if not op(_lead_sign(rows), 0):
+                n = start + (start - parity) % 2
+                while n in patch:
+                    n += 2
+                witnesses.append(n)
+    witness = min(witnesses, default=horizon + 1)
+    return Verdict.fails(witness) if witness <= horizon else verdict
 
 
 _CLAIMS = {Comparison.LESS: operator.lt, Comparison.EQUAL: operator.eq, Comparison.GREATER: operator.gt}
@@ -182,20 +230,24 @@ def compare_lazy(
     (``quantity.fold``) through one ``reader``: sums and products of closed
     leaves, negated ones included, fold into one closed form, while "apply"
     and "delay" nodes, sums over patched operands and a "neg" left below
-    them stay lazy, so a leaf read by both sides is stepped once.
+    them stay lazy, so a leaf read by both sides is stepped once.  A lazy
+    difference is read at every checked index.  A closed one is read only
+    below its tail start N0, and its eventual parity signs certify the
+    rest: a claim that holds past N0 holds at every later index, beyond the
+    horizon too, and one that fails there fails at the first index of the
+    wrong parity at or past the first checked one and N0.  A nonzero
+    difference times n**K, K clearing its negative powers, satisfies a
+    linear recurrence of some order r, so it is 0 at fewer than r
+    consecutive indices and fails EQUAL within r indices of the first
+    checked one; the zero difference holds EQUAL with no read.
     """
     horizon, _ = check_horizon(horizon)
     if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
-    difference = LazySeq("+", (as_node(q1), LazySeq("neg", (as_node(q2),))))
-    ok, read = _CLAIMS[claim], reader(fold(Quantity(None, {}, difference)))
-
-    def holds_at(n: int) -> bool:
-        # q1(n) - q2(n) = a/b with b > 0 has the sign of a.
-        ((a, _),) = read(n)
-        return ok(a, 0)
-
-    return _scan(holds_at, horizon)
+    ok = _CLAIMS[claim]
+    difference = fold(Quantity(None, {}, LazySeq("+", (as_node(q1), LazySeq("neg", (as_node(q2),))))))
+    # q1(n) - q2(n) = a/b with b > 0 has the sign of a.
+    return _claim_scan(difference, reader(difference), lambda a, b: ok(a, 0), [(0, 1, ok)], horizon)
 
 
 def _probe_k(horizon: int) -> int:
@@ -212,18 +264,19 @@ def is_infinitely_small(q: Quantity, horizon: int = DEFAULT_HORIZON):
     infinitesimal.  Lazy sequences get a Verdict testing |q(n)| < 1/k past
     the exemption window, with k probed up to horizon/10 (larger k would
     falsely fail honest infinitesimals like (1/n) inside the horizon); the
-    scan reads ``fold(q)``.  The horizon is checked first on both paths.
+    scan reads ``fold(q)``.  When that is one closed form, the test is the
+    two sign claims 1 - k*q > 0 and 1 + k*q > 0: q is read once per index
+    below the larger of their tail starts, overrides are checked as they
+    stand, and the parity signs of both forms decide every other index (see
+    ``compare_lazy``).  The horizon is checked first on both paths.
     """
     horizon, _ = check_horizon(horizon)
     if q.is_closed:
         return classify(q).kind in ("zero", "infinitesimal")
-    k, read = _probe_k(horizon), reader(fold(q))
-
-    def small_at(n: int) -> bool:
-        ((a, b),) = read(n)  # |a/b| < 1/k with b > 0
-        return abs(a) * k < b
-
-    return _scan(small_at, horizon)
+    k, q = _probe_k(horizon), fold(q)
+    claims = [(1, -k, operator.gt), (1, k, operator.gt)]  # 1 -+ k * q > 0
+    # |a/b| < 1/k with b > 0.
+    return _claim_scan(q, reader(q), lambda a, b: abs(a) * k < b, claims, horizon)
 
 
 def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
@@ -231,25 +284,26 @@ def is_infinitely_great(q: Quantity, horizon: int = DEFAULT_HORIZON):
 
     Needs unbounded one-signed growth on BOTH parity classes (``classify``);
     parity-mixed growth such as (0, 2, 0, 4, ...) is not infinitely great.
-    Lazy sequences get a Verdict: the tail sign is sampled, then |q(n)| > k
-    is required past the exemption window for each probed k; the scan reads
-    ``fold(q)``.  The horizon is checked first on both paths.
+    Lazy sequences get a Verdict: the tail sign is sampled at the horizon,
+    then |q(n)| > k is required past the exemption window for each probed k;
+    the scan reads ``fold(q)``.  When that is one closed form, the test is
+    the sign claim direction*q - k > 0: q is read below its tail start,
+    overrides are checked as they stand, and its parity signs decide every
+    other index (see ``compare_lazy``).  The horizon is checked first on
+    both paths.
     """
     horizon, _ = check_horizon(horizon)
     if q.is_closed:
         return {"inf+": 1, "inf-": -1}.get(classify(q).kind, 0)
-    bound, read = _probe_k(horizon), reader(fold(q))
+    bound, q = _probe_k(horizon), fold(q)
+    read = reader(q)
     direction = _sign(read(horizon)[0][0])
     if direction == 0:
         return Verdict.fails(horizon)
-
-    def great_at(n: int) -> bool:
-        # With direction = +-1 and bound >= 1: same sign as direction and
-        # |q(n)| > bound, that is direction * a > bound * b for q(n) = a/b, b > 0.
-        ((a, b),) = read(n)
-        return direction * a > bound * b
-
-    return _scan(great_at, horizon)
+    # With direction = +-1 and bound >= 1: same sign as direction and
+    # |q(n)| > bound, that is direction * a > bound * b for q(n) = a/b, b > 0.
+    claims = [(-bound, direction, operator.gt)]  # direction * q - bound > 0
+    return _claim_scan(q, read, lambda a, b: direction * a > bound * b, claims, horizon)
 
 
 def infinitely_greater(q1: Quantity, q2: Quantity) -> bool:
@@ -317,12 +371,13 @@ def classify_lazy(
     """Horizon-based estimate for lazy sequences; None when the tail is inconclusive.
 
     A "finite" result carries the tail median as an estimated standard part.
-    This is evidence, not proof: only a closed form can be classified exactly.
-    A lazy estimate needs 1 <= window <= horizon (ValueError otherwise).
+    This is evidence, not proof: only a closed form can be classified exactly
+    (``classify``).  Both paths first need 1 <= window <= horizon (ValueError
+    otherwise).
     """
+    horizon, window = check_horizon(horizon, window)
     if q.is_closed:
         return classify(q)
-    horizon, window = check_horizon(horizon, window)
     value = values(q)
     tail = [value(n) for n in range(horizon - window + 1, horizon + 1)]
     # This early window starts at horizon // 10, inside the exempt prefix, not

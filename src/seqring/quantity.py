@@ -381,27 +381,36 @@ class ExpPoly:
                 out[key] = out.get(key, 0) + shifted * comb(power, j) * (-m) ** (power - j)
         return ExpPoly._reduced({k: a for k, a in out.items() if a}, self._den * big_l**m)
 
+    def tail_start(self, cap: int) -> int:
+        """N0: the least index in 1..cap from which every value has its parity's lead sign, else cap; 0 for the zero form.
+
+        On each parity of n (``groups``), a parity with no group is 0 at
+        every index and bounds nothing.  Otherwise its first group outweighs
+        the sum of the others from some T on (``_tail_start``), so at every
+        n >= T of that parity the value is not 0 and has the sign of the
+        first group's a.  N0 is the larger T of the two parities; it does not
+        depend on cap unless it reaches it.  ``zeros`` evaluates only below
+        it, and the lazy scans of ``order`` read a closed form pointwise only
+        below it and take the sign past it from ``groups``.
+        """
+        return max([_tail_start(rows, cap) for rows in self.groups()[:2] if rows], default=0)
+
     def zeros(self, hi: int) -> set[int]:
         """The t in 0..hi - 1 where the value is 0; the powers must be nonnegative.
 
         On each parity of t (``groups``), a parity with no group is 0 at
-        every t of it, and those t are added with no evaluation.
-        Otherwise the first group outweighs the sum of the others from some T
-        on (``_tail_start``), so the value has no zero there, and T does not
-        depend on hi.  Only t < min(T, hi) are evaluated exactly: S(t) in
-        ``_fractions`` is never 0, so the value is 0 where the integer I(t) is,
-        and ``_advance`` steps I(t) from t = 0 by one multiplication per term
-        and index.
+        every t of it, and those t are added with no evaluation.  From
+        ``tail_start`` on the value has no zero.  Only t below it are
+        evaluated exactly: S(t) in ``_fractions`` is never 0, so the value is
+        0 where the integer I(t) is, and ``_advance`` steps I(t) from t = 0
+        by one multiplication per term and index.
         """
         holes: set[int] = set()
-        window = 0
         for parity, groups in enumerate(self.groups()[:2]):
-            if groups:
-                window = max(window, _tail_start(groups, hi))
-            else:
+            if not groups:
                 holes.update(range(parity, hi, 2))
         memo = None
-        for t in range(min(window, hi)):
+        for t in range(min(self.tail_start(hi), hi)):
             memo = self._advance(t, memo)
             if not memo[3]:
                 holes.add(t)
@@ -545,8 +554,10 @@ def _tail_start(groups: list[IntGroup], cap: int) -> int:
     t >= 1 at which every rho_j steps down, rho_j(t + 1) <= rho_j(t), and
     their sum is below 1.  The step ((t + 1) / t)**(kj - k0) * Bj / B0 falls
     with t, so both still hold at every t past T, where the value is
-    C0 * t**k0 * B0**t times (1 + a sum of magnitude below 1): not 0.
-    The search doubles t, then bisects, on exact integers.
+    C0 * t**k0 * B0**t times (1 + a sum of magnitude below 1): not 0,
+    with the sign of C0.  The search doubles t, then bisects, on exact
+    integers.  ``ExpPoly.tail_start`` is its one caller: it bounds the hole
+    search of ``ExpPoly.zeros`` and the pointwise reads of the lazy scans.
     """
     p0, q0, k0, a0 = groups[0]  # Cj = aj / D: the common denominator cancels in rho_j
     a0 = abs(a0)

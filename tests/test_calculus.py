@@ -106,6 +106,17 @@ def test_lazy_standard_part_rejects_its_window_before_evaluating(horizon, window
 
 @pytest.mark.parametrize(
     "horizon, window, message",
+    [(0, 50, "horizon must be >= 1"), (10, 50, "window must be between 1 and the horizon")],
+)
+def test_closed_standard_part_checks_its_horizon_and_window(horizon, window, message):
+    # The exact answer reads no index, but its horizon and window are checked as on the lazy path.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        standard_part(embed_scalar(1), horizon, window)
+    assert standard_part(embed_scalar(1), 10, 10) == 1
+
+
+@pytest.mark.parametrize(
+    "horizon, window, message",
     [
         (0, 50, "horizon must be >= 1"),
         (10, 50, "window must be between 1 and the horizon"),

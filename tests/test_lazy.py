@@ -346,6 +346,25 @@ def test_a_closed_leaf_scan_builds_no_fraction_per_index(monkeypatch):
     assert counts == [0, 0]
 
 
+def test_a_closed_difference_is_read_only_below_its_tail_start(monkeypatch):
+    # compare_lazy of x against x + d reads the folded closed -d.  With one
+    # group in d its tail start is 1, so a holding scan steps no body.  With
+    # d = t - n it is t + 1: the scan fails at t, where n - t < 0 first
+    # breaks, and reads no index past t + 1.
+    x = Quantity.closed(ExpPoly({(F(3), 2): F(2), (F(-1), 1): F(-5), (F(1, 2), 0): F(1)}))
+    advanced = []
+    advance = ExpPoly._advance
+    monkeypatch.setattr(ExpPoly, "_advance", lambda self, n, memo: advanced.append(n) or advance(self, n, memo))
+    h = 3000
+    d = Quantity.closed(ExpPoly.single(F(7, 3), 1, F(1, 2)))
+    assert _verdict(compare_lazy(x.as_lazy(), add(x.as_lazy(), d), Comparison.LESS, h)) == ("holds", h)
+    assert advanced == []
+    t = 1234
+    d = Quantity.closed(ExpPoly({(F(1), 0): F(t), (F(1), 1): F(-1)}))
+    assert _verdict(compare_lazy(x.as_lazy(), add(x.as_lazy(), d), Comparison.LESS, h)) == ("fails", t)
+    assert advanced and max(advanced) <= t + 1
+
+
 def test_a_sum_over_a_far_patch_stays_lazy_and_never_reads_the_patched_index(monkeypatch):
     # A closed sum would evaluate both operands at the override 3 000 000;
     # the fold keeps a "+" over a patched operand lazy, so scans to 1000 and

@@ -244,6 +244,16 @@ def test_infinitely_close_checks_the_horizon_of_closed_forms():
 
 @pytest.mark.parametrize(
     "horizon, window, message",
+    [(0, 50, "horizon must be >= 1"), (10, 50, "window must be between 1 and the horizon")],
+)
+def test_classify_lazy_checks_the_horizon_and_window_of_a_closed_form(horizon, window, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        classify_lazy(N, horizon, window)
+    assert classify_lazy(N, 10, 10).kind == "inf+"
+
+
+@pytest.mark.parametrize(
+    "horizon, window, message",
     [
         (0, 50, "horizon must be >= 1"),
         (10, 50, "window must be between 1 and the horizon"),

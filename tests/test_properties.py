@@ -52,9 +52,10 @@ from seqring import (
     mul,
     neg,
     patch,
+    sub,
 )
 from seqring.cli import Config, _tokenize, run_statement
-from seqring.quantity import reader, values
+from seqring.quantity import fold, reader, values
 
 # Products of these bases include 1 and -1 (2 * 1/2, -2 * -1/2).
 BASES = [F(1), F(-1), F(2), F(1, 2), F(-2), F(-1, 2), F(3), F(2, 3), F(-3, 4)]
@@ -227,6 +228,58 @@ def test_folded_scans_and_values_match_the_mirrors(x, y, h, indices):
 
 def _verdict(v) -> tuple:
     return (v.status, v.witness if v.status == "fails" else v.checked_up_to)
+
+
+# Closed differences for the certified scans: c * (n**k - t**k) * n**j, which
+# changes sign at t and so puts the tail start near t (below the first checked
+# index, inside the horizon or past it, where ``_tail_start`` returns its
+# cap), kept on every index or on one parity only, plus up to two other
+# terms; c = 0 with no other term is the zero form.  Overrides land before the
+# tail start, past it and past the horizon, and their values break one claim
+# or another.
+def _crossing(c: F, t: int, k: int, j: int, mask: int, extra: ExpPoly) -> ExpPoly:
+    form = ExpPoly({(F(1), k): c, (F(1), 0): -c * t**k}) * ExpPoly.single(1, j, 1)
+    if mask:  # (1 + mask * (-1)**n) / 2 keeps the even (mask = 1) or odd (mask = -1) indices
+        form = form * ExpPoly({(F(1), 0): F(1, 2), (F(-1), 0): F(mask, 2)})
+    return form + extra
+
+
+crossings = st.builds(
+    _crossing,
+    rationals,
+    st.integers(0, 90),
+    st.integers(1, 2),
+    st.integers(-2, 0),
+    st.sampled_from([0, 1, -1]),
+    st.one_of(
+        st.just(ExpPoly()),
+        st.dictionaries(st.tuples(st.sampled_from(BASES), st.integers(-2, 1)), nonzero, max_size=2).map(ExpPoly),
+    ),
+)
+claim_overrides = st.dictionaries(
+    st.integers(1, 140), st.one_of(rationals, st.sampled_from([F(0), F(10**6), F(-(10**6))])), max_size=3
+)
+
+
+@SETTINGS
+@given(crossings, claim_overrides, st.booleans(), st.integers(10, 100))
+def test_certified_scans_match_the_full_scan_oracles(d, entries, negated, h):
+    # compare_lazy of x + d against x folds to the closed d, and the
+    # is_infinitely_* scans of a lowered patched d (or its negation) fold to
+    # the closed form, overrides included: all are read pointwise only below
+    # the tail start.  The oracles scan every index through naive values.
+    x = Quantity.closed(ExpPoly({(F(3, 2), 1): F(1), (F(-1), 0): F(2)}))
+    q1, fx = add(x.as_lazy(), Quantity.closed(d)), mirror_closed(x)
+    f1 = mirror_add(fx, mirror_closed(Quantity.closed(d)))
+    assert fold(sub(q1, x.as_lazy())).is_closed
+    for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
+        got = compare_lazy(q1, x.as_lazy(), claim, h)
+        assert _verdict(got) == oracle_compare(f1, fx, claim, h), (d, claim, h)
+    p = Quantity.closed(d, entries)
+    q, f = (neg(p.as_lazy()), mirror_neg(mirror_closed(p))) if negated else (p.as_lazy(), mirror_closed(p))
+    assert fold(q).is_closed
+    assert _verdict(is_infinitely_small(q, h)) == oracle_small(f, h), (p, negated, h)
+    assert _verdict(is_infinitely_great(q, h)) == oracle_great(f, h), (p, negated, h)
 
 
 # Characters on which str.isalpha, str.isdecimal and re's \w and \d part ways
