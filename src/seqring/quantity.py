@@ -382,7 +382,7 @@ class ExpPoly:
         return ExpPoly._reduced({k: a for k, a in out.items() if a}, self._den * big_l**m)
 
     def tail_start(self, cap: int) -> int:
-        """N0: the least index in 1..cap from which every value has its parity's lead sign, else cap; 0 for the zero form.
+        """The least N0 in 1..cap from which every value has its parity's lead sign; cap if none, 0 for zero.
 
         On each parity of n (``groups``), a parity with no group is 0 at
         every index and bounds nothing.  Otherwise its first group outweighs

@@ -1,4 +1,4 @@
-"""Property tests: the product law, parse/render round-trips, order, text, stepped values, tokens, the exact decisions against a reference and folded lazy reads against mirrors.
+"""Property tests: the product law, parse/render round-trips, order, text, stepped values, tokens, the exact decisions against a reference and folded lazy reads against mirrors, and certified scans against full-scan oracles.
 
 They need ``hypothesis``, which the ``test`` extra of ``pyproject.toml``
 installs (``pip install -e '.[test]'``); without it they are skipped.
