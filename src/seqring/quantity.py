@@ -398,22 +398,19 @@ class ExpPoly:
     def zeros(self, hi: int) -> set[int]:
         """The t in 0..hi - 1 where the value is 0; the powers must be nonnegative.
 
-        On each parity of t (``groups``), a parity with no group is 0 at
-        every t of it, and those t are added with no evaluation.  From
-        ``tail_start`` on the value has no zero.  Only t below it are
-        evaluated exactly: S(t) in ``_fractions`` is never 0, so the value is
-        0 where the integer I(t) is, and ``_advance`` steps I(t) from t = 0
-        by one multiplication per term and index.
+        The t below ``tail_start`` are evaluated exactly: S(t) in
+        ``_fractions`` is never 0, so the value is 0 where the integer I(t)
+        is, and ``_advance`` steps I(t) from t = 0 by one multiplication per
+        term and index.  From ``tail_start`` on, a parity of t with a group
+        (``groups``) is 0 nowhere and one with no group is 0 everywhere, so
+        the first two t there decide every later t of their parity.
         """
         holes: set[int] = set()
-        for parity, groups in enumerate(self.groups()[:2]):
-            if not groups:
-                holes.update(range(parity, hi, 2))
-        memo = None
-        for t in range(min(self.tail_start(hi), hi)):
+        window, memo = min(self.tail_start(hi), hi), None
+        for t in range(min(window + 2, hi)):
             memo = self._advance(t, memo)
             if not memo[3]:
-                holes.add(t)
+                holes.update(range(t, hi, 2) if t >= window else (t,))
         return holes
 
     def _plan(self) -> tuple[int, int, int, int, int, tuple[tuple[int, int, int], ...]]:

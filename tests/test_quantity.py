@@ -503,11 +503,12 @@ def test_a_closed_description_keeps_its_patch():
 
 def test_zeros_match_a_full_scan():
     rng = random.Random(42)
+    keep = [ExpPoly({(F(1), 0): F(1, 2), (F(-1), 0): F(s, 2)}) for s in (1, -1)]  # 1 on even t, or on odd t
     for _ in range(80):
         e = random_poly(rng, max_terms=4, pow_lo=0)
         t0 = rng.randint(0, 30)
         hole = e - ExpPoly.constant(naive_value(e, t0))  # 0 at t0
-        for f in (e, hole, ExpPoly()):
+        for f in (e, hole, ExpPoly(), *(hole * k for k in keep)):  # the last two are 0 on one parity
             assert f.zeros(40) == {t for t in range(40) if naive_value(f, t) == 0}, f
 
 
