@@ -191,8 +191,9 @@ def _claim_scan(
     index of a parity the sign of that parity's lead group (0 with no
     group).  A claim that such a sign breaks fails first at the parity's
     first non-override index at or past max(first checked, N0), and each
-    override up to the horizon is checked as the value it holds.  The
-    verdict and witness are the full scan's.
+    override up to the horizon is checked as the value it holds, found
+    through the patch or through the indices up to the horizon, whichever
+    is shorter.  The verdict and witness are the full scan's.
     """
     holds_at = lambda n: ok(*read(n)[0])
     if not q.is_closed:
@@ -201,15 +202,19 @@ def _claim_scan(
     forms = [(ExpPoly.constant(c) + body.scale(k), op) for c, k, op in claims]
     tail = max(form.tail_start(horizon + 1) for form, _ in forms)
     verdict = _scan(holds_at, horizon, min(horizon, tail - 1))
-    if verdict.status == "fails":
+    if verdict.status == "fails" or tail > horizon:
         return verdict
     start = max(first_checked_index(horizon), tail)
-    witnesses = [i for i, v in patch.items() if start <= i <= horizon and not ok(v.numerator, v.denominator)]
+    indices = patch if len(patch) <= horizon - start else range(start, horizon + 1)
+    witnesses = [
+        i for i in indices
+        if start <= i <= horizon and i in patch and not ok(patch[i].numerator, patch[i].denominator)
+    ]
     for form, op in forms:
         for parity, rows in enumerate(form.groups()[:2]):  # even n, then odd n
             if not op(_lead_sign(rows), 0):
                 n = start + (start - parity) % 2
-                while n in patch:
+                while n <= horizon and n in patch:
                     n += 2
                 witnesses.append(n)
     witness = min(witnesses, default=horizon + 1)

@@ -321,7 +321,8 @@ class ExpPoly:
         denominator D > 0.  In (|base| desc, power desc) order the first group
         of a parity dominates it and gives its sign, the sign of a; a parity
         with no group is 0.  This integer table is the certificate behind
-        every exact decision in ``order`` and the hole scan of ``zeros``.
+        every exact decision in ``order``, the tails of its lazy scans of a
+        closed form and the hole scan of ``zeros`` (``tail_start``).
         """
         groups: dict[tuple[int, int, int], list[int]] = {}  # (|num|, den, power) -> [even a, odd a]
         for (num, den, power), a in self._coeffs.items():
@@ -389,9 +390,10 @@ class ExpPoly:
         the sum of the others from some T on (``_tail_start``), so at every
         n >= T of that parity the value is not 0 and has the sign of the
         first group's a.  N0 is the larger T of the two parities; it does not
-        depend on cap unless it reaches it.  ``zeros`` evaluates only below
-        it, and the lazy scans of ``order`` read a closed form pointwise only
-        below it and take the sign past it from ``groups``.
+        depend on cap unless it reaches it.  ``zeros`` evaluates below it and
+        at its first index of each parity, and the lazy scans of ``order``
+        read a closed form pointwise only below it and take the sign past it
+        from ``groups``.
         """
         return max([_tail_start(rows, cap) for rows in self.groups()[:2] if rows], default=0)
 

@@ -365,6 +365,23 @@ def test_a_closed_difference_is_read_only_below_its_tail_start(monkeypatch):
     assert advanced and max(advanced) <= t + 1
 
 
+def test_a_patch_longer_than_the_horizon_is_checked_index_by_index():
+    # Its overrides past the tail start are found by walking the indices up
+    # to the horizon, not the patch; a zero at each index but one leaves that
+    # one as the witness, whether it is an override (on 1/(100n), small) or
+    # the one index the patch misses (on 1, which is never small).
+    h = 1000
+    start = first_checked_index(h)
+    small, one = ExpPoly.single(F(1, 100), -1, 1), ExpPoly.constant(1)
+    for body, fail in ((small, lambda e, i: e.update({i: F(1)})), (one, lambda e, i: e.pop(i))):
+        for witness in (start, start + 1, 777, h):
+            entries = dict.fromkeys(range(1, 3 * h), F(0))
+            fail(entries, witness)
+            p = Quantity.closed(body, entries)
+            assert _verdict(is_infinitely_small(p.as_lazy(), h)) == _small_oracle(mirror_closed(p), h) == ("fails", witness)
+            assert _verdict(is_infinitely_great(p.as_lazy(), h)) == _great_oracle(mirror_closed(p), h)
+
+
 def test_a_sum_over_a_far_patch_stays_lazy_and_never_reads_the_patched_index(monkeypatch):
     # A closed sum would evaluate both operands at the override 3 000 000;
     # the fold keeps a "+" over a patched operand lazy, so scans to 1000 and
