@@ -26,8 +26,9 @@ folded DAG is one closed form, the scan reads it pointwise only below its
 tail start N0 (``ExpPoly.tail_start``), past which the parity table fixes
 every sign, and takes the rest of the verdict from that table: a claim that
 holds there holds at every index from the first checked one on, and one that
-fails there fails first at the first index past N0 that no override covers.
-The verdict and witness are the full scan's.
+fails there fails at the first index, past N0 and the exempt prefix, of a
+parity with the wrong sign that no override covers, or at an earlier
+override that breaks it.  The verdict and witness are the full scan's.
 """
 
 from __future__ import annotations
