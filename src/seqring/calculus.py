@@ -153,18 +153,21 @@ def derivative(
 
     Builds the lazy quotient (f(x + h(n)) - f(x)) / h(n) and samples its
     standard part.  A large spread is the signal that the quotient does not
-    settle, i.e. that no derivative exists along this probe.
+    settle, i.e. that no derivative exists along this probe.  The horizon
+    and window are checked before f is evaluated, and f(x) is read once, so
+    a call evaluates f window + 1 times.
     """
     x = _rat(x)
     h = probe if probe is not None else unit_infinitesimal()
     _check_probe(h, "derivative")
-    h_at = values(h)
+    horizon, window = check_horizon(horizon, window)
+    fx, h_at = f.at(x), values(h)
 
     def quotient(n: int) -> Fraction:
         hn = h_at(n)
         if hn == 0:
             raise ZeroProbeValue(n)
-        return (f.at(x + hn, n) - f.at(x, n)) / hn
+        return (f.at(x + hn, n) - fx) / hn
 
     q = Quantity.lazy(quotient, f"d{f.name}/dx at {x}")
     return standard_part(q, horizon, window)
@@ -187,8 +190,13 @@ def default_probes() -> list[Quantity]:
 def _decay_verdict(
     gaps: Callable[[int], Fraction], horizon: int, tol: Fraction, window: int
 ) -> Verdict:
-    """Apply the decay rule to a gap sequence; see the module docstring."""
+    """Apply the decay rule to a gap sequence; see the module docstring.
+
+    A horizon that leaves no checked index (1) is unknown, with no gap read.
+    """
     early_lo = first_checked_index(horizon)
+    if early_lo > horizon:
+        return Verdict.unknown(horizon)
     tail_lo = max(horizon - window + 1, early_lo)
     early = [(n, gaps(n)) for n in range(early_lo, min(early_lo + window, horizon) + 1)]
     tail = [(n, gaps(n)) for n in range(tail_lo, horizon + 1)]

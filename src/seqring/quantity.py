@@ -15,12 +15,12 @@ mixes a closed form with a lazy sequence lowers the result to lazy: ``add``,
 "neg" and "delay" over "leaf" nodes (closed forms); an "apply" node holds a
 function, with no operand for an evaluator (``Quantity.lazy``) and one for
 ``calculus.extend``.  Nodes hold no evaluation state.  ``reader`` compiles
-DAGs once into slots, one per node and index offset, and evaluates each slot
-once per index as an unnormalized integer pair (num, den) with den > 0, so
-no intermediate value pays a gcd; each leaf slot steps its closed form from
-one index to the next on integers alone (``ExpPoly._advance``), in a memo of
-its own, so a scan over closed forms builds no Fraction per index.  The lazy
-scans in ``order`` read by sign.  Only the public boundary reduces a value
+one DAG once into slots, one per node and index offset, and evaluates each
+slot once per index as an unnormalized integer pair (num, den) with den > 0,
+so no intermediate value pays a gcd; each leaf slot steps its closed form
+from one index to the next on integers alone (``ExpPoly._advance``), in a
+memo of its own, so a scan over closed forms builds no Fraction per index.
+The lazy scans in ``order`` read by sign.  Only the public boundary reduces a value
 to a Fraction: ``values`` reads a closed form through its one stepping
 Fraction reader, ``ExpPoly._fractions``, and a lazy quantity through one
 ``reader``; ``ExpPoly.value_at`` is one read of it, and ``eval_at`` is one
@@ -866,15 +866,15 @@ def as_node(q: Quantity) -> LazySeq:
     return q.seq if q.seq is not None else LazySeq("leaf", (), q)
 
 
-def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
-    """n -> [(num, den) for each q]: the values at n >= 1 as unreduced pairs, den > 0.
+def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
+    """n -> q's value at n >= 1 as an unreduced pair (num, den), den > 0.
 
-    The DAGs are walked once, with an explicit stack (``_post_order``), into
+    q's DAG is walked once, with an explicit stack (``_post_order``), into
     slots keyed by (node, offset): a slot reads its node at n - offset, and a
-    read evaluates each slot once, operands first, however often the DAGs
-    share it.  A "delay" adds its m to the offset and needs no slot: below
-    index 1 every leaf and "apply" node reads (0, 1), and so do sums,
-    products and negations.
+    read evaluates each slot once, operands first, however often the DAG
+    shares it, and returns the root's pair, the last slot.  A "delay" adds
+    its m to the offset and needs no slot: below index 1 every leaf and
+    "apply" node reads (0, 1), and so do sums, products and negations.
     The leaves of one closed form share a slot, and each leaf slot keeps its
     own ``_advance`` memo for the life of the reader: a read at the index
     after the last steps it, any other read restarts it, so a body read at
@@ -938,20 +938,16 @@ def reader(*qs: Quantity) -> Callable[[int], list[tuple[int, int]]]:
             step = lambda n: (vals[x][0] * vals[y][0], vals[x][1] * vals[y][1])
         return step
 
-    outs = []
-    for q in qs:
-        root = resolve(as_node(q), 0)
-        for item in _post_order(root, operands, operator.itemgetter(2), slots):
-            x, y = (*[slots[key] for _, _, key in operands(item)], None, None)[:2]
-            slots[item[2]] = len(steps)
-            steps.append(make_step(item[0], item[1], x, y))
-        outs.append(slots[root[2]])
+    for item in _post_order(resolve(as_node(q), 0), operands, operator.itemgetter(2), slots):
+        x, y = (*[slots[key] for _, _, key in operands(item)], None, None)[:2]
+        slots[item[2]] = len(steps)
+        steps.append(make_step(item[0], item[1], x, y))
 
-    def read(n: int) -> list[tuple[int, int]]:
+    def read(n: int) -> tuple[int, int]:
         vals.clear()
         for step in steps:
             vals.append(step(n))
-        return [vals[i] for i in outs]
+        return vals[-1]
 
     return read
 
@@ -973,7 +969,7 @@ def values(q: Quantity) -> Callable[[int], Fraction]:
         value = lambda n: patch[n] if n in patch else read(n)
     else:
         read = reader(q)
-        value = lambda n: Fraction(*read(n)[0])
+        value = lambda n: Fraction(*read(n))
     return lambda n: value(_index(n))
 
 

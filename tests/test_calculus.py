@@ -16,6 +16,7 @@ from seqring import (
     Quantity,
     RealFunction,
     StEstimate,
+    Verdict,
     ZeroProbeValue,
     add,
     classify,
@@ -139,6 +140,22 @@ def test_continuity_probes_reject_their_window_before_evaluating(horizon, window
     assert evaluated == []
     # Accepted with the whole horizon as a window; the gap 2/n has not halved by n = 10.
     assert continuity_probe(affine, 0, [probe], 10, window=10).status == "fails"
+
+
+def test_continuity_probes_at_a_horizon_with_no_checked_index_are_unknown():
+    # Horizon 1 exempts index 1, so no index is checked: both probes answer
+    # unknown without reading the probe or the pair, with any function.
+    evaluated = []
+
+    def recording(values):
+        return Quantity.lazy(lambda n: evaluated.append(n) or values(n), "recording")
+
+    for f in (BUILTINS["sin"], SQUARE, RealFunction("step", lambda x: F(x > 0))):
+        assert continuity_probe(f, 0, [recording(lambda n: F(1, n))], horizon=1, window=1) == Verdict.unknown(1)
+        assert continuity_probe(f, 0, horizon=1, window=1) == Verdict.unknown(1)
+        xs, ys = recording(lambda n: F(n)), recording(lambda n: n + F(1, n))
+        assert uniform_continuity_probe(f, xs, ys, horizon=1, window=1) == Verdict.unknown(1)
+    assert evaluated == []
 
 
 def test_continuity_probe_rejects_an_empty_probe_list_before_evaluating():
@@ -274,6 +291,21 @@ def test_derivative_zero_probe_value():
     probe = Quantity.closed(ExpPoly.single(1, -1, 1), {9990: F(0)})
     with pytest.raises(ZeroProbeValue):
         derivative(SQUARE, 3, probe=probe)
+
+
+def test_derivative_evaluates_f_at_the_point_once():
+    # window quotient samples read f at x + h(n) each, and f(x) once: window + 1 calls.
+    calls = []
+    recording = RealFunction("square", lambda x: calls.append(x) or x * x)
+    for horizon, window in ((100, 10), (1000, 50), (7, 7)):
+        calls.clear()
+        est = derivative(recording, 3, horizon=horizon, window=window)
+        assert est == derivative(SQUARE, 3, horizon=horizon, window=window)
+        assert len(calls) == window + 1 and calls.count(3) == 1, (horizon, window)
+    calls.clear()
+    with pytest.raises(ValueError, match="window must be between 1 and the horizon"):
+        derivative(recording, 3, horizon=10, window=50)
+    assert calls == []
 
 
 def test_derivative_matches_polynomial_oracle():

@@ -197,3 +197,32 @@ def test_window_equal_to_the_horizon_is_accepted(tmp_path, capsys):
     batch.write_text("deriv(x -> x * x, 3)\n", encoding="utf-8")
     assert main(["--horizon", "10", "--window", "10", "--batch", str(batch)]) == 0
     assert capsys.readouterr().out.startswith("estimate ")
+
+
+SWEPT_STATEMENTS = [
+    "cont(sin, 0)",
+    "cont(step, 0)",
+    "cont(x -> x^2, 1)",
+    "deriv(sin, 0)",
+    "deriv(x -> x^-1, 1)",
+    "st(geom(1/2))",
+    "st(N^-1 + 2)",
+    "close(N^-1, 0)",
+    "close(N, N+1)",
+    "classify(geom(1/2))",
+    "classify((-1)^n * N)",
+    "cmp(N, N^2)",
+]
+
+
+def test_every_small_horizon_and_window_runs_each_statement_without_an_execute_error():
+    # Horizons 1..12 with every window 1..h: a verdict may be unknown, but no
+    # statement may fail in execution (a library defect, exit 2).
+    for horizon in range(1, 13):
+        for window in range(1, horizon + 1):
+            config = Config(horizon=horizon, window=window)
+            for text in SWEPT_STATEMENTS:
+                result, code = run_statement(text, {}, config)
+                line = format_json(result, config)
+                assert '"operation":"execute"' not in line, (horizon, window, text, line)
+                assert code in (0, 3), (horizon, window, text, line)

@@ -28,6 +28,7 @@ from helpers import (
 )
 from helpers import oracle_compare as _compare_oracle
 from helpers import oracle_great as _great_oracle
+from helpers import oracle_probe_k
 from helpers import oracle_small as _small_oracle
 
 from seqring import (
@@ -216,9 +217,9 @@ def test_one_leaf_read_at_two_shifts_steps_at_both():
 
 
 def _reader_holds(q1, q2, ok, h: int) -> bool:
-    """Whether ok(q1(n), q2(n)) at every checked n <= h, read through one unfolded ``reader`` of both."""
-    read = reader(q1, q2)
-    return all(ok(a * d, c * b) for (a, b), (c, d) in map(read, range(first_checked_index(h), h + 1)))
+    """Whether ok(q1(n) - q2(n), 0) at every checked n <= h, read through one unfolded ``reader`` of q1 - q2."""
+    read = reader(sub(q1, q2))
+    return all(ok(a, 0) for a, _ in map(read, range(first_checked_index(h), h + 1)))
 
 
 def test_readers_of_one_body_at_one_shift_share_a_step(monkeypatch):
@@ -425,6 +426,70 @@ def test_a_product_of_two_three_term_leaves_stays_lazy():
         for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
             got = _verdict(compare_lazy(product, other, claim, h))
             assert got == _compare_oracle(fp, fo, claim, h), (other.render(), claim)
+
+
+def _unfolded(spiked, body: Quantity, name: str) -> list:
+    """q(n) = spiked(n) as two DAGs that ``fold`` keeps lazy, each with its mirror.
+
+    One is an evaluator under "+" with the closed body, the other an "apply"
+    over the closed leaf N; each also comes negated at the root.
+    """
+    fb = mirror_closed(body)
+    plus = add(Quantity.lazy(lambda n: spiked(n) - fb(n), name), body)
+    applied = extend(RealFunction(name, lambda v: spiked(int(v))), N)
+    cases = []
+    for q in (plus, applied):
+        assert not fold(q).is_closed and not fold(neg(q)).is_closed
+        cases += [(q, spiked), (neg(q), mirror_neg(spiked))]
+    return cases
+
+
+def test_each_lazy_scan_fails_where_its_bound_is_met_with_equality():
+    # |q(t)| = 1/k and direction * q(t) = k exactly at one checked index t,
+    # strictly inside the bound at every other: each scan fails at t, as
+    # the oracles' strict tests do, on the first and last checked index too.
+    for h in (100, 1000):
+        k, first = oracle_probe_k(h), first_checked_index(h)
+        for t in (first, first + 7, h):
+            small = lambda n, t=t: F(1, k) if n == t else F(1, n * n)
+            for q, f in _unfolded(small, Quantity.closed(ExpPoly.single(1, -2, 1)), "small"):
+                assert _verdict(is_infinitely_small(q, h)) == _small_oracle(f, h) == ("fails", t), (q.description, h)
+            great = lambda n, t=t: F(k) if n == t else F(n)
+            for q, f in _unfolded(great, N, "great"):
+                assert _verdict(is_infinitely_great(q, h)) == _great_oracle(f, h) == ("fails", t), (q.description, h)
+            # Just inside both bounds at t, the scans hold.
+            inside = lambda n, t=t: F(1, k + 1) if n == t else F(1, n * n)
+            for q, f in _unfolded(inside, Quantity.closed(ExpPoly.single(1, -2, 1)), "inside"):
+                assert _verdict(is_infinitely_small(q, h)) == _small_oracle(f, h) == ("holds", h), (q.description, h)
+            above = lambda n, t=t: F(k + 1) if n == t else F(n)
+            for q, f in _unfolded(above, N, "above"):
+                assert _verdict(is_infinitely_great(q, h)) == _great_oracle(f, h) == ("holds", h), (q.description, h)
+
+
+def test_compare_lazy_on_unfolded_dags_at_a_zero_difference_and_at_one_equality():
+    # A difference that is 0 at every index holds EQUAL only; one that is 0
+    # at a single checked index t and negative elsewhere fails LESS at t.
+    # Each pair is checked both ways round, for all three claims.
+    n_plus_one = add(N, 1)
+    for h in (100, 1000):
+        first = first_checked_index(h)
+        square = lambda n: F(n * n)
+        pairs = [(q, square, Quantity.closed(ExpPoly.single(1, 2, 1)), square) for q, _ in _unfolded(square, N, "sq")[::2]]
+        for t in (first, first + 7, h):
+            touch = lambda n, t=t: F(n + 1) if n == t else F(n)
+            pairs += [(q, touch, n_plus_one, mirror_closed(n_plus_one)) for q, _ in _unfolded(touch, N, "touch")[::2]]
+        for a, fa, b, fb in pairs:
+            assert not fold(sub(a, b)).is_closed
+            for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
+                for lhs, flhs, rhs, frhs in ((a, fa, b, fb), (b, fb, a, fa)):
+                    got = _verdict(compare_lazy(lhs, rhs, claim, h))
+                    assert got == _compare_oracle(flhs, frhs, claim, h), (lhs.description, claim, h)
+        for a, fa, b, fb in pairs[:2]:
+            assert _verdict(compare_lazy(a, b, Comparison.EQUAL, h)) == ("holds", h)
+        for a, fa, b, fb in pairs[2:]:
+            t = next(n for n in range(first, h + 1) if fa(n) == fb(n))
+            assert _verdict(compare_lazy(a, b, Comparison.LESS, h)) == ("fails", t)
+            assert _verdict(compare_lazy(b, a, Comparison.GREATER, h)) == ("fails", t)
 
 
 def test_values_of_a_dag_that_folds_completely_builds_no_reader(monkeypatch):

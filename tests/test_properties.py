@@ -151,22 +151,22 @@ index_runs = st.lists(st.tuples(st.integers(1, 80), st.integers(1, 6)), min_size
 @given(step_forms, step_patches, index_runs, st.integers(1, 5))
 def test_stepped_values_reduce_to_the_naive_value(body, entries, runs, m):
     # A closed form read through the stepping paths, in one access order,
-    # against naive_value or the override: reader pairs at offsets 0 and m
-    # (a patched and a plain leaf share offset 0's memo), values, value_at
-    # and eval_at.
+    # against naive_value or the override: the pair of one reader of a sum
+    # that reads the body at offsets 0 and m (a patched and a plain leaf
+    # share offset 0's memo), values, value_at and eval_at.
     q = patch(Quantity.closed(body), entries)
     plain = Quantity.closed(body).as_lazy()
-    read = reader(q.as_lazy(), plain, delay(plain, m))
+    read = reader(add(add(q.as_lazy(), plain), delay(plain, m)))
     value = values(q)
 
     def want(n: int) -> F:
         return entries[n] if n in entries else naive_value(body, n)
 
     for n in [start + i for start, length in runs for i in range(length)]:
-        pairs = read(n)
-        assert all(den > 0 for _, den in pairs)
+        num, den = read(n)
+        assert den > 0
         lagged = naive_value(body, n - m) if n > m else 0
-        assert [F(*pair) for pair in pairs] == [want(n), naive_value(body, n), lagged], n
+        assert F(num, den) == want(n) + naive_value(body, n) + lagged, n
         assert value(n) == eval_at(q, n) == want(n), n
         assert body.value_at(n) == naive_value(body, n), n
 

@@ -221,8 +221,7 @@ def test_value_at_memo_is_invisible():
     read = reader(Quantity.closed(e))
     for order, indices in _access_orders(random.Random(43)).items():
         for n in indices:
-            (pair,) = read(n)
-            assert F(*pair) == twin.value_at(n), (order, n)
+            assert F(*read(n)) == twin.value_at(n), (order, n)
     assert e == twin
     assert hash(e) == hash(twin)
     assert e.render() == twin.render()
