@@ -12,17 +12,20 @@ terminating procedure can quantify over all infinitesimal perturbations.
 Estimates of standard parts of lazy sequences report their observed spread
 rather than pretending to be exact.
 
-Decay rule used by both continuity probes: with g_early the largest gap in a
-sample window just past the exempt prefix and g_tail the largest gap in the
-tail window at the horizon, the verdict is holds when g_tail < tol or
-g_tail <= g_early / 2 (the gap at least halved over a tenfold index span),
-fails when g_tail >= tol and g_tail > (3/4) * g_early, and unknown between.
+Decay rule used by both continuity probes, on the two disjoint index windows
+of ``order.windows``: with g_early the largest gap in the early window, just
+past the exempt prefix, and g_tail the largest gap in the tail window at the
+horizon, the verdict is holds when g_tail < tol or g_tail <= g_early / 2 (the
+gap at least halved), fails when g_tail >= tol and g_tail > (3/4) * g_early,
+and unknown between.  When the windows do not fit (the tail starts before
+twice the first checked index), the verdict is unknown with no gap read.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -41,8 +44,8 @@ from .order import (
     Verdict,
     check_horizon,
     classify,
-    first_checked_index,
     infinitely_close,
+    windows,
 )
 from .quantity import ExpPoly, LazySeq, Quantity, _rat, as_node, values
 
@@ -110,9 +113,11 @@ def standard_part(
 
     Closed forms are exact: ``classify``'s standard part, or 0 (NotFinite
     when the quantity is infinitely great or oscillating).  Lazy sequences
-    are sampled over the last ``window`` indices up to ``horizon`` and yield
-    a StEstimate with the tail median and observed spread; the caller judges
-    the spread against its own tolerance.  Both paths first need
+    are sampled over the tail window of ``order.windows``, the last
+    ``window`` indices up to ``horizon``, and yield a StEstimate with the
+    tail median (``statistics.median``: the mean of the middle two of an
+    even count) and observed spread, max - min; the caller judges the spread
+    against its own tolerance.  Both paths first need
     1 <= window <= horizon (ValueError otherwise).
     """
     horizon, window = check_horizon(horizon, window)
@@ -121,13 +126,8 @@ def standard_part(
         if c.kind not in ("zero", "infinitesimal", "finite"):
             raise NotFinite(f"no standard part: quantity is {c.kind}")
         return c.standard_part or Fraction(0)
-    samples = sorted(map(values(q), range(horizon - window + 1, horizon + 1)))
-    mid = len(samples) // 2
-    if len(samples) % 2:
-        median = samples[mid]
-    else:
-        median = (samples[mid - 1] + samples[mid]) / 2
-    return StEstimate(median, window, samples[-1] - samples[0])
+    samples = list(map(values(q), windows(horizon, window)[1]))
+    return StEstimate(statistics.median(samples), window, max(samples) - min(samples))
 
 
 def unit_infinitesimal() -> Quantity:
@@ -192,23 +192,20 @@ def _decay_verdict(
 ) -> Verdict:
     """Apply the decay rule to a gap sequence; see the module docstring.
 
-    A horizon that leaves no checked index (1) is unknown, with no gap read.
+    Each gap is read once, from the disjoint early and tail windows of
+    ``order.windows``.  An empty early window (the windows do not fit,
+    horizon 1 included) gives unknown before any gap is read.
     """
-    early_lo = first_checked_index(horizon)
-    if early_lo > horizon:
+    early, tail = windows(horizon, window)
+    if not early:
         return Verdict.unknown(horizon)
-    tail_lo = max(horizon - window + 1, early_lo)
-    early = [(n, gaps(n)) for n in range(early_lo, min(early_lo + window, horizon) + 1)]
-    tail = [(n, gaps(n)) for n in range(tail_lo, horizon + 1)]
-    g_early = max(g for _, g in early)
-    g_tail = max(g for _, g in tail)
-    if g_tail < tol:
-        return Verdict.holds(horizon)
-    if 2 * g_tail <= g_early:
+    g_early = max(map(gaps, early))
+    tail = {n: gaps(n) for n in tail}
+    g_tail = max(tail.values())
+    if g_tail < tol or 2 * g_tail <= g_early:
         return Verdict.holds(horizon)
     if 4 * g_tail > 3 * g_early:
-        witness = min(n for n, g in tail if g >= tol)
-        return Verdict.fails(witness)
+        return Verdict.fails(min(n for n, g in tail.items() if g >= tol))
     return Verdict.unknown(horizon)
 
 
@@ -236,11 +233,8 @@ def continuity_probe(
     for h in probes:
         _check_probe(h, "continuity_probe")
     fx = f.at(x)
-    verdicts = []
-    for h in probes:
-        gap = lambda n, h_at=values(h): abs(f.at(x + h_at(n), n) - fx)
-        verdicts.append(_decay_verdict(gap, horizon, tol, window))
-    return _combine(verdicts, horizon)
+    gaps = [lambda n, h_at=values(h): abs(f.at(x + h_at(n), n) - fx) for h in probes]
+    return _combine([_decay_verdict(gap, horizon, tol, window) for gap in gaps], horizon)
 
 
 def uniform_continuity_probe(
@@ -262,12 +256,8 @@ def uniform_continuity_probe(
     if near is False or (isinstance(near, Verdict) and near.status == "fails"):
         raise NotInfinitelyClose("input sequences are not infinitely close")
     x_at, y_at = values(x_seq), values(y_seq)
-    return _decay_verdict(
-        lambda n: abs(f.at(x_at(n), n) - f.at(y_at(n), n)),
-        horizon,
-        tol,
-        window,
-    )
+    gap = lambda n: abs(f.at(x_at(n), n) - f.at(y_at(n), n))
+    return _decay_verdict(gap, horizon, tol, window)
 
 
 def _combine(verdicts: list[Verdict], horizon: int) -> Verdict:

@@ -19,22 +19,25 @@ integer rows (|num|, den, power, a) of coefficient a / D, D > 0.
 Lazy sequences get horizon-bounded semi-decisions instead: a Verdict that
 either reports a concrete counterexample index or states the horizon up to
 which the claim was checked.  The first tenth of the indices is exempt, as a
-finite-prefix tolerance mirroring "all but finitely many".  Each lazy verdict
-is a list of sign claims op(c + k*q(n), 0), and one scan (``_claim_scan``)
-tests them on the DAG after ``quantity.fold``, whose values are the same at
-every index, so a lazy input still gets the same Verdict, never an exact
-answer.  When the folded DAG is one closed form, the scan reads it pointwise
-only below its tail start N0 (``ExpPoly.tail_start``), past which the parity
-table fixes every sign, and takes the rest of the verdict from that table: a
-claim that holds there holds at every index from the first checked one on,
-and one that fails there fails at the first index, past N0 and the exempt
-prefix, of a parity with the wrong sign that no override covers, or at an
-earlier override that breaks it.  The verdict and witness are the full scan's.
+finite-prefix tolerance mirroring "all but finitely many".  A sampled verdict
+(``classify_lazy`` and ``calculus``'s) reads the two windows of ``windows``.
+Each other lazy verdict is a list of sign claims op(c + k*q(n), 0), and one
+scan (``_claim_scan``) tests them on the DAG after ``quantity.fold``, whose
+values are the same at every index, so a lazy input still gets the same
+Verdict, never an exact answer.  When the folded DAG is one closed form, the
+scan reads it pointwise only below its tail start N0 (``ExpPoly.tail_start``),
+past which the parity table fixes every sign, and takes the rest of the
+verdict from that table: a claim that holds there holds at every index from
+the first checked one on, and one that fails there fails at the first index,
+past N0 and the exempt prefix, of a parity with the wrong sign that no
+override covers, or at an earlier override that breaks it.  The verdict and
+witness are the full scan's.
 """
 
 from __future__ import annotations
 
 import operator
+import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -166,6 +169,19 @@ def check_horizon(horizon: int, window: int = 1) -> tuple[int, int]:
 def first_checked_index(horizon: int) -> int:
     """First index a lazy check evaluates: past the exempt first ceil(horizon/10)."""
     return -(-horizon // 10) + 1
+
+
+def windows(horizon: int, window: int) -> tuple[range, range]:
+    """(early, tail): the disjoint index windows in 1..horizon of every sampled verdict.
+
+    tail is the last ``window`` indices; early the first ``window`` checked
+    ones, cut before tail.start, and empty unless the tail starts at twice
+    the first checked index or later: closer windows cannot tell a decaying
+    gap from a stuck one, since a gap of order 1/n halves only as n doubles.
+    """
+    tail, first = range(horizon - window + 1, horizon + 1), first_checked_index(horizon)
+    end = min(first + window, tail.start) if tail.start >= 2 * first else first
+    return range(first, end), tail
 
 
 def _claim_scan(q: Quantity, claims: list[tuple[int, int, Callable[[int, int], bool]]], horizon: int) -> Verdict:
@@ -367,29 +383,25 @@ def classify_lazy(
 ) -> Classification | None:
     """Horizon-based estimate for lazy sequences; None when the tail is inconclusive.
 
-    A "finite" result carries the tail median as an estimated standard part.
-    This is evidence, not proof: only a closed form can be classified exactly
-    (``classify``).  Both paths first need 1 <= window <= horizon (ValueError
-    otherwise).
+    q is read once per index of the early and tail windows (``windows``); an
+    empty early window has magnitude 0.  A "finite" result carries the tail's
+    upper median as an estimated standard part.  This is evidence, not proof:
+    only a closed form can be classified exactly (``classify``).  Both paths
+    first need 1 <= window <= horizon (ValueError otherwise).
     """
     horizon, window = check_horizon(horizon, window)
     if q.is_closed:
         return classify(q)
     value = values(q)
-    tail = [value(n) for n in range(horizon - window + 1, horizon + 1)]
-    # This early window starts at horizon // 10, inside the exempt prefix, not
-    # at first_checked_index(horizon); moving it could change verdicts.
-    early = [value(n) for n in range(max(1, horizon // 10), max(1, horizon // 10) + window)]
+    early, tail = ([value(n) for n in w] for w in windows(horizon, window))
     if all(v == 0 for v in tail):
         return Classification("zero")
     tail_mag = max(abs(v) for v in tail)
-    early_mag = max(abs(v) for v in early)
+    early_mag = max((abs(v) for v in early), default=0)
     if tail_mag < tol or (tail_mag * 2 <= early_mag and tail_mag < Fraction(1, 100)):
         return Classification("infinitesimal")
-    spread = max(tail) - min(tail)
-    if spread < tol:
-        mid = sorted(tail)[len(tail) // 2]
-        return Classification("finite", mid)
+    if max(tail) - min(tail) < tol:
+        return Classification("finite", statistics.median_high(tail))
     bound = _probe_k(horizon)
     if all(v > bound for v in tail):
         return Classification("inf+")

@@ -324,18 +324,15 @@ class ExpPoly:
         every exact decision in ``order``, the tails of its lazy scans of a
         closed form and the hole scan of ``zeros`` (``tail_start``).
         """
-        groups: dict[tuple[int, int, int], list[int]] = {}  # (|num|, den, power) -> [even a, odd a]
-        for (num, den, power), a in self._coeffs.items():
-            odd = a if num > 0 else -a
-            slot = groups.get((abs(num), den, power))
-            if slot is None:
-                groups[(abs(num), den, power)] = [a, odd]
-            else:
-                slot[0] += a
-                slot[1] += odd
-        big_l = lcm(*{den for _, den, _ in groups})
-        keys = sorted(groups, key=lambda k: (k[0] * (big_l // k[1]), k[2]), reverse=True)
-        even, odd = ([(*k, groups[k][p]) for k in keys if groups[k][p]] for p in (0, 1))
+        even: list[IntGroup] = []
+        odd: list[IntGroup] = []
+        for (num, den, power), a in self._sorted():  # a group's +B term just before its -B term
+            key = (abs(num), den, power)
+            for rows, c in ((even, a), (odd, a if num > 0 else -a)):
+                if rows and rows[-1][:3] == key:
+                    c += rows.pop()[3]
+                if c:
+                    rows.append((*key, c))
         return even, odd, self._den
 
     def reflect(self, m: int) -> "ExpPoly":
@@ -1072,7 +1069,7 @@ def delay(q, m: int) -> Quantity:
     if not q.is_closed:
         return Quantity(None, {}, LazySeq("delay", (q.seq,), m))
     # Re-expanding each c*n^k*b^n at n-m into powers of n needs k >= 0.
-    for (_, power), _ in q.body.items():
+    for (_, _, power), _ in q.body._sorted():
         if power < 0:
             raise NegativePowerDelay(
                 f"cannot delay term with power {power}; lower to lazy via as_lazy()"

@@ -19,6 +19,11 @@ from seqring import ExpPoly, Quantity, eval_at
 ALL_BASES = [F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-2), F(3, 4), F(-3, 4)]
 PM1_BASES = [F(1), F(-1)]
 
+# The (horizon, window) pairs the sampled verdicts are swept on: every pair
+# with 1 <= window <= horizon <= 40, the two windows at horizon 100 and the
+# defaults.
+WINDOW_PAIRS = [(h, w) for h in range(1, 41) for w in range(1, h + 1)] + [(100, 50), (100, 100), (10**4, 50)]
+
 
 def random_poly(
     rng: random.Random,

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import SQRT2_CONVERGENT, lazy_sqrt2
+from helpers import SQRT2_CONVERGENT, WINDOW_PAIRS, lazy_sqrt2
 
 from seqring import (
     BUILTINS,
@@ -20,6 +20,7 @@ from seqring import (
     ZeroProbeValue,
     add,
     classify,
+    classify_lazy,
     continuity_probe,
     derivative,
     embed_scalar,
@@ -31,6 +32,7 @@ from seqring import (
     uniform_continuity_probe,
     unit_infinitesimal,
 )
+from seqring.order import first_checked_index
 
 N = Quantity.closed(ExpPoly.single(1, 1, 1))
 SQUARE = RealFunction("square", lambda x: x * x)
@@ -138,8 +140,49 @@ def test_continuity_probes_reject_their_window_before_evaluating(horizon, window
     with pytest.raises(ValueError, match=f"^{message}$"):
         uniform_continuity_probe(affine, xs, ys, horizon, window=window)
     assert evaluated == []
-    # Accepted with the whole horizon as a window; the gap 2/n has not halved by n = 10.
-    assert continuity_probe(affine, 0, [probe], 10, window=10).status == "fails"
+    # Accepted with the whole horizon as a window, which leaves no room for an
+    # early window before the tail, so the decay rule has nothing to compare.
+    assert continuity_probe(affine, 0, [probe], 10, window=10).status == "unknown"
+
+
+def test_every_sampled_verdict_reads_its_horizon_and_an_exempt_index_only_in_its_tail():
+    # Each read lies in 1..horizon; one below the first checked index lies in
+    # the tail window.  Verdicts that read one sequence once per sampled index
+    # read no index twice, so their early and tail windows share none.
+    reads = []
+
+    def recording(values):
+        return Quantity.lazy(lambda n: reads.append(n) or values(n), "recording")
+
+    affine = RealFunction("affine", lambda x: 2 * x + 1)
+    calls = {
+        "classify_lazy": lambda h, w: classify_lazy(recording(lambda n: F(1, n)), h, w),
+        "standard_part": lambda h, w: standard_part(recording(lambda n: 2 + F(1, n)), h, w),
+        "derivative": lambda h, w: derivative(affine, 0, recording(lambda n: F(1, n)), h, w),
+        "continuity_probe": lambda h, w: continuity_probe(affine, 0, [recording(lambda n: F(1, n))], h, window=w),
+        "uniform_continuity_probe": lambda h, w: uniform_continuity_probe(
+            affine, recording(F), recording(lambda n: n + F(1, n)), h, window=w
+        ),
+    }
+    for horizon, window in WINDOW_PAIRS:
+        allowed = set(range(first_checked_index(horizon), horizon + 1)) | set(range(horizon - window + 1, horizon + 1))
+        for name, call in calls.items():
+            reads.clear()
+            call(horizon, window)
+            assert set(reads) <= allowed, (name, horizon, window, sorted(set(reads) - allowed))
+            if name != "uniform_continuity_probe":  # reads a pair, and checks it is close first
+                assert len(reads) == len(set(reads)), (name, horizon, window)
+
+
+def test_an_affine_map_and_sin_are_never_refuted_at_zero():
+    # Their gaps along the default probes shrink like 1/n, so no window pair
+    # may see a gap that has not decayed.
+    affine = RealFunction("affine", lambda x: 2 * x + 1)
+    for horizon, window in WINDOW_PAIRS:
+        for f in (affine, BUILTINS["sin"]):
+            verdict = continuity_probe(f, 0, horizon=horizon, window=window)
+            assert verdict.status != "fails", (f.name, horizon, window, verdict)
+    assert continuity_probe(affine, 0, horizon=100, window=50).status == "holds"
 
 
 def test_continuity_probes_at_a_horizon_with_no_checked_index_are_unknown():

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from helpers import reference_tokens
+from helpers import WINDOW_PAIRS, reference_tokens
 
 from seqring import ExprSyntaxError
 from seqring.cli import Config, _tokenize, format_json, format_text, main, run_statement
@@ -226,3 +226,16 @@ def test_every_small_horizon_and_window_runs_each_statement_without_an_execute_e
                 line = format_json(result, config)
                 assert '"operation":"execute"' not in line, (horizon, window, text, line)
                 assert code in (0, 3), (horizon, window, text, line)
+
+
+def test_cont_never_refutes_an_affine_map_or_sin_at_zero_on_any_swept_window():
+    # A "fails" verdict is a proof: with windows too close to compare, cont is unknown.
+    for horizon, window in WINDOW_PAIRS:
+        config = Config(horizon=horizon, window=window)
+        for text in ("cont(sin, 0)", "cont(x -> 2*x + 1, 0)"):
+            result, code = run_statement(text, {}, config)
+            assert result.fields["verdict"] in ("holds", "unknown"), (horizon, window, text)
+            assert code == 0
+    for horizon, verdict in ((50, "unknown"), (100, "holds")):  # the default window, 50
+        for text in ("cont(sin, 0)", "cont(x -> 2*x + 1, 0)"):
+            assert run_statement(text, {}, Config(horizon=horizon))[0].fields["verdict"] == verdict

@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 from helpers import (
+    WINDOW_PAIRS,
     lazy_sqrt2,
     pointwise_verdict,
     random_patch,
@@ -39,6 +40,7 @@ from seqring import (
     proportionality_constant,
     sub,
 )
+from seqring.order import first_checked_index, windows
 
 N = Quantity.closed(ExpPoly.single(1, 1, 1))
 P = Quantity.closed(ExpPoly({(F(1), 2): F(1, 2), (F(1), 1): F(1, 2)}))
@@ -268,6 +270,18 @@ def test_classify_lazy_rejects_its_window_before_evaluating(horizon, window, mes
     assert evaluated == []
     zero = Quantity.lazy(lambda n: F(0), "0")
     assert classify_lazy(zero, 10, 10).kind == "zero"  # the whole horizon is a window
+
+
+def test_windows_are_disjoint_inside_the_horizon_and_past_the_exempt_prefix():
+    for h, w in WINDOW_PAIRS:
+        early, tail = windows(h, w)
+        first = first_checked_index(h)
+        assert tail == range(h - w + 1, h + 1), (h, w)
+        assert not set(early) & set(tail) and set(early) <= set(range(first, h + 1)), (h, w)
+        # Empty exactly when the tail starts before twice the first checked
+        # index; otherwise the first w checked indices, cut before the tail.
+        assert (not early) == (h - w + 1 < 2 * first), (h, w)
+        assert not early or early == range(first, min(first + w, tail.start)), (h, w)
 
 
 # Each lazy scan of order, called on one lazy q at a horizon.
