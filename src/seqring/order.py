@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import LazyInput, ZeroDivisor
-from .quantity import ExpPoly, IntGroup, LazySeq, Quantity, as_node, fold, reader, sub, values
+from .quantity import ExpPoly, IntGroup, Quantity, fold, reader, sub, values
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_WINDOW = 50
@@ -246,25 +246,24 @@ def compare_lazy(
     The first ceil(horizon/10) indices are exempt; a violation past the
     exemption window yields Fails with the smallest violating index.  The
     claim is the one sign claim op(q1 - q2, 0), which ``_claim_scan`` reads
-    from the folded difference q1 + neg(q2) (``quantity.fold``) through one
-    ``reader``: sums and products of closed leaves, negated ones included,
-    fold into one closed form, while "apply" and "delay" nodes, sums over
-    patched operands and a "neg" left below them stay lazy, so a leaf read
-    by both sides is stepped once.  A lazy difference is read at every
-    checked index.  A closed one is read only below its tail start N0, and
-    its eventual parity signs certify the rest: a claim that holds past N0
-    holds at every later index, beyond the horizon too, and one that fails
-    there fails at the first index of the wrong parity at or past the first
-    checked one and N0.  A nonzero difference times n**K, K clearing its
-    negative powers, satisfies a linear recurrence of some order r, so it is
-    0 at fewer than r consecutive indices and fails EQUAL within r indices
-    of the first checked one; the zero difference holds EQUAL with no read.
+    from the difference q1 - q2 of the ring operations through one
+    ``reader``.  It folds to one closed form when every node of it folds
+    (``quantity.fold``); else it is read as built, so a leaf read by both
+    sides is stepped once per index and a constant leaf once.  A lazy
+    difference is read at every checked index.  A closed one is read only
+    below its tail start N0, and its eventual parity signs certify the rest:
+    a claim that holds past N0 holds at every later index, beyond the
+    horizon too, and one that fails there fails at the first index of the
+    wrong parity at or past the first checked one and N0.  A nonzero
+    difference times n**K, K clearing its negative powers, satisfies a
+    linear recurrence of some order r, so it is 0 at fewer than r
+    consecutive indices and fails EQUAL within r indices of the first
+    checked one; the zero difference holds EQUAL with no read.
     """
     horizon, _ = check_horizon(horizon)
     if claim not in _CLAIMS:
         raise ValueError("claim must be LESS, EQUAL or GREATER")
-    difference = Quantity(None, {}, LazySeq("+", (as_node(q1), LazySeq("neg", (as_node(q2),)))))
-    return _claim_scan(difference, [(0, 1, _CLAIMS[claim])], horizon)
+    return _claim_scan(sub(q1.as_lazy(), q2.as_lazy()), [(0, 1, _CLAIMS[claim])], horizon)
 
 
 def _probe_k(horizon: int) -> int:

@@ -19,21 +19,20 @@ one DAG once into slots, one per node and index offset, and evaluates each
 slot once per index as an unnormalized integer pair (num, den) with den > 0,
 so no intermediate value pays a gcd; each leaf slot steps its closed form
 from one index to the next on integers alone (``ExpPoly._advance``), in a
-memo of its own, so a scan over closed forms builds no Fraction per index.
-The lazy scans in ``order`` read by sign.  Only the public boundary reduces a value
-to a Fraction: ``values`` reads a closed form through its one stepping
+memo of its own, so a scan over closed forms builds no Fraction per index;
+a constant form keeps its first memo at every index.  The lazy scans in
+``order`` read by sign.  Only the public boundary reduces a value to a
+Fraction: ``values`` reads a closed form through its one stepping
 Fraction reader, ``ExpPoly._fractions``, and a lazy quantity through one
 ``reader``; ``ExpPoly.value_at`` is one read of it, and ``eval_at`` is one
 read of ``values``.
 
 Sums, products and negations of closed forms stay closed, so ``values``
-and the lazy scans in ``order`` first ``fold`` the DAG: a sum or product of
-closed forms (or their negations) becomes the closed form that ``ExpPoly``
-arithmetic gives, wherever that has no more terms than its operands step
-per index, and a DAG that folds completely reads as its closed form.  A
-"neg" below the root stays lazy, so it shares its leaf's slot; "apply" and
-"delay" nodes stay lazy over folded operands, and so does a "+" or "*"
-over a patched operand.
+and the lazy scans in ``order`` first ``fold`` the DAG, whole or not at all:
+when every node is a patch-free closed leaf, a "neg", or a "+" or "*" whose
+form has no more terms than its operands step per index, the DAG reads as
+its one closed form; any other DAG is read exactly as the ring operations
+built it, so a leaf that an "apply" node also reads shares its slot.
 
 ``ExpPoly`` keeps a closed form on integers: each base as a reduced
 (num, den) pair and each coefficient as an integer numerator over one
@@ -626,46 +625,41 @@ class LazySeq:
 
 
 def fold(q: Quantity) -> Quantity:
-    """q with its closed-leaf sub-DAGs folded to closed forms; equal to q at every index.
+    """q's one closed form when its whole DAG folds, else q itself; equal to q at every index.
 
-    One walk (``_post_order``) replaces each "+" or "*" over two patch-free
-    closed forms, each a leaf or a "neg" over one, by the closed form that
-    ``ExpPoly`` arithmetic gives, where that form has no more terms than the
-    operands' forms, which a ``reader`` steps per index (one slot when both
-    are one form).  A "neg" folds only at the root: below it, it keeps
-    reading its leaf's shared slot.  "apply" and "delay" nodes (a closed
-    delay writes m prefix entries) stay lazy over folded operands, and so do
-    a "+" or "*" over a patched operand (a closed one evaluates its operands
-    at every override) and one whose closed form would outgrow its
-    operands, such as a product of two distinct 3-term forms.  Unchanged
-    nodes are kept, so shared nodes stay shared, and a DAG that folds
-    completely comes back closed.
+    Sums, products and negations of closed forms are closed forms, so one
+    walk (``_post_order``) gives each node the closed form that ``ExpPoly``
+    arithmetic gives.  A node folds when it is a patch-free "leaf", a "neg",
+    or a "+" or "*" whose form has no more terms than its operands' forms,
+    which a ``reader`` steps per index (counted once when both read one
+    closed form).  Any other node, such as an "apply", a "delay" (a closed
+    delay writes m prefix entries), a patched leaf below the root (a closed
+    sum evaluates its operands at every override) or a product of two
+    distinct 3-term forms, leaves the DAG exactly as the ring operations
+    built it.  A root "leaf", and a root "neg" over one, give their closed
+    form with the patch included.
     """
     if q.is_closed:
         return q
-    folded: dict[LazySeq, LazySeq] = {}  # node -> its folded node
-    for node in _post_order(q.seq, operator.attrgetter("args"), lambda node: node, folded):
-        op, args = node.op, tuple([folded[a] for a in node.args])
-        if op in ("+", "*"):
-            (a, x), (b, y) = map(_signed_form, args)
-            if x is not None and y is not None:
-                body = x + y if op == "+" else x * y
-                if len(body._coeffs) <= len(x._coeffs) + (0 if a is b else len(y._coeffs)):
-                    folded[node] = LazySeq("leaf", (), Quantity(body, {}, None))
-                    continue
-        folded[node] = node if args == node.args else LazySeq(op, args, node.data)
-    root = folded[q.seq]
-    if root.op == "neg" and root.args[0].op == "leaf":
-        return _negated(root.args[0].data)
-    return root.data if root.op == "leaf" else Quantity(None, {}, root)
-
-
-def _signed_form(node: LazySeq) -> tuple:
-    # (closed form, the body node reads) of a patch-free "leaf" or a "neg" over one, else (None, None).
-    leaf = node.args[0] if node.op == "neg" else node
-    if leaf.op != "leaf" or leaf.data.patch:
-        return None, None
-    return leaf.data, (leaf.data.body if leaf is node else -leaf.data.body)
+    leaf = q.seq.args[0] if q.seq.op == "neg" else q.seq
+    if leaf.op == "leaf":
+        return leaf.data if leaf is q.seq else _negated(leaf.data)
+    forms: dict[LazySeq, tuple] = {}  # node -> (its closed form, the closed form or node a reader steps for it)
+    for node in _post_order(q.seq, operator.attrgetter("args"), lambda node: node, forms):
+        op, args = node.op, [forms[a] for a in node.args]
+        if op == "leaf" and not node.data.patch:
+            forms[node] = (node.data.body, node.data)
+        elif op == "neg":
+            forms[node] = (-args[0][0], args[0][1])
+        elif op in ("+", "*"):
+            (x, a), (y, b) = args
+            body = x + y if op == "+" else x * y
+            if len(body._coeffs) > len(x._coeffs) + (0 if a is b else len(y._coeffs)):
+                return q
+            forms[node] = (body, node)
+        else:
+            return q
+    return Quantity(forms[q.seq][0], {}, None)
 
 
 def _post_order(root, operands: Callable, key: Callable, done) -> Iterable:
@@ -875,7 +869,8 @@ def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
     The leaves of one closed form share a slot, and each leaf slot keeps its
     own ``_advance`` memo for the life of the reader: a read at the index
     after the last steps it, any other read restarts it, so a body read at
-    any number of offsets steps at each of them.
+    any number of offsets steps at each of them.  A constant body (no n in
+    it) keeps its first memo, whose pair is the same at every index.
     """
     slots: dict = {}  # (node, offset), or (id(closed form), offset) for a leaf -> slot
     steps: list[Callable[[int], tuple[int, int]]] = []
@@ -896,7 +891,8 @@ def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
         op, data = node.op, node.data
         if op == "leaf":
             patch, body = data.patch, data.body
-            memo = None  # body's ``_advance`` memo at the last index read
+            memo = None  # body's ``_advance`` memo at the last index read, or at the first for a constant
+            constant = body._coeffs.keys() <= {(1, 1, 0)}  # its pair does not depend on n
 
             def step(n: int) -> tuple[int, int]:
                 nonlocal memo
@@ -905,7 +901,7 @@ def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
                     return v.numerator, v.denominator
                 if n <= offset:
                     return 0, 1
-                if memo is None or memo[0] != n - offset:
+                if memo is None or memo[0] != n - offset and not constant:
                     memo = body._advance(n - offset, memo)
                 # (s_num * I(i), s_den * i**K) in the terms of _fractions: integers, with no gcd.
                 i, s_num, s_den, inner, _, plan = memo
@@ -955,10 +951,9 @@ def values(q: Quantity) -> Callable[[int], Fraction]:
     q is folded first (``fold``).  A closed result returns its override at a
     patched index and reads its body through the body's one stepping reader
     (``ExpPoly._fractions``) at any other, so a lazy DAG that folds
-    completely builds no ``reader``.  What stays lazy ("apply" and "delay"
-    nodes, sums and products over patched operands or that would outgrow
-    their operands) is read through one ``reader``, and its pair is reduced to
-    a Fraction.
+    completely builds no ``reader``.  Any other DAG, as the ring operations
+    built it, is read through one ``reader``, and its pair is reduced to a
+    Fraction.
     """
     q = fold(q)
     if q.is_closed:

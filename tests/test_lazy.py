@@ -511,6 +511,56 @@ def test_values_of_a_dag_that_folds_completely_builds_no_reader(monkeypatch):
     assert [eval_at(neg(p.as_lazy()), n) for n in (1, 2, 3)] == [mirror_neg(mirror_closed(p))(n) for n in (1, 2, 3)]
 
 
+def test_a_dag_that_does_not_fold_completely_comes_back_as_built():
+    # fold gives one closed form or q itself: an "apply", an evaluator, a
+    # patched leaf below the root or a product that would outgrow its
+    # operands leaves every node as the ring operations built it.
+    x = Quantity.closed(ExpPoly({(F(3), 2): F(2), (F(-1), 1): F(-5)}))
+    y = Quantity.closed(ExpPoly.single(F(1, 3), 1, F(1, 2)))
+    a = Quantity.closed(ExpPoly({(F(1), 1): F(1), (F(2), 0): F(1), (F(1, 2), 0): F(1)}))
+    b = Quantity.closed(ExpPoly({(F(3), 0): F(1), (F(-1), 0): F(2), (F(1), 2): F(-1)}))
+    affine = extend(RealFunction("affine", lambda v: 2 * v + 1), x)
+    cases = [
+        sub(affine, add(mul(x.as_lazy(), 2), 1)),
+        add(Quantity.lazy(lambda n: F(1, n), "1/n"), add(x.as_lazy(), y)),
+        mul(add(patch(x, {3: F(1)}).as_lazy(), y), 2),
+        mul(a.as_lazy(), b),
+    ]
+    for q in cases:
+        assert fold(q) is q, q.description
+
+
+def test_extend_against_its_affine_map_steps_x_once_per_index_and_each_constant_once(monkeypatch):
+    # extend(f, x) - (a*x + b) does not fold, so its reader steps the one x
+    # that both sides read once per checked index, and a constant leaf keeps
+    # its first pair: a and b are each stepped once.
+    x = Quantity.closed(ExpPoly({(F(3), 2): F(2), (F(-1), 1): F(-5), (F(1, 2), 0): F(1)}))
+    a, b = embed_scalar(F(-3, 4)), embed_scalar(F(5, 2))
+    f = RealFunction("affine", lambda v: F(-3, 4) * v + F(5, 2))
+    calls = []
+    advance = ExpPoly._advance
+    monkeypatch.setattr(ExpPoly, "_advance", lambda self, n, memo: calls.append(self) or advance(self, n, memo))
+    h = 1000
+    got = compare_lazy(extend(f, x), add(mul(x.as_lazy(), a), b), Comparison.EQUAL, h)
+    assert _verdict(got) == ("holds", h)
+    assert sum(body is x.body for body in calls) == h - first_checked_index(h) + 1
+    others = [body for body in calls if body is not x.body]
+    assert len({id(body) for body in others}) == len(others) == 2
+
+
+def test_a_constant_leaf_under_a_delay_reads_zero_up_to_the_delay():
+    # A constant leaf keeps its first stepped pair at every index, but a
+    # delay still reads 0 below its offset and an override wins at its index.
+    f = lambda n: F(1, n)
+    q = delay(add(Quantity.lazy(f, "1/n"), 3), 2)
+    p = delay(add(Quantity.lazy(f, "1/n"), patch(embed_scalar(3), {2: F(7)})), 2)
+    want = [F(0), F(0)] + [f(n - 2) + 3 for n in range(3, 9)]
+    for order in (range(1, 9), range(8, 0, -1)):
+        value, patched = values(q), values(p)
+        assert {n: value(n) for n in order} == dict(enumerate(want, 1))
+        assert {n: patched(n) for n in order} == {**dict(enumerate(want, 1)), 4: f(2) + 7}
+
+
 def test_delays_of_one_body_keep_at_most_two_memos():
     # One body read at one index under 200 delays; the body itself holds only
     # its integer coefficients and their common denominator, so no read

@@ -213,6 +213,16 @@ def test_lazy_small_verdicts():
     assert v.status == "fails"
 
 
+def test_lazy_small_holds_when_every_wrong_parity_index_to_the_horizon_is_an_override():
+    # p is (1, 0, 1, 0, ...) with every odd index from 1 to the horizon 101
+    # overridden to 0: the odd parity's lead sign breaks |p| < 1/k, but no
+    # odd index up to the horizon reads it, so the certified scan holds.
+    h = 101
+    p = patch(OSC_A, {i: 0 for i in range(1, h + 1, 2)})
+    v = is_infinitely_small(p.as_lazy(), h)
+    assert (v.status, v.checked_up_to) == ("holds", h)
+
+
 @pytest.mark.parametrize("scan", [is_infinitely_small, is_infinitely_great, infinitely_close])
 @pytest.mark.parametrize("horizon", [0, -5])
 def test_lazy_scans_reject_a_horizon_below_one_before_evaluating(scan, horizon):
@@ -545,6 +555,13 @@ def test_classify_oscillator():
     assert classify(Quantity.closed(ExpPoly.single(1, 0, -1))).kind == "oscillating"
 
 
+def test_classify_a_constant_parity_beside_a_growing_one_oscillates():
+    # 1 + n - n(-1)^n reads 1 at every even n and 2n + 1 at every odd n: the
+    # even parity's lead group is the constant, which is not unbounded.
+    q = add(add(embed_scalar(1), N), mul(N, Quantity.closed(ExpPoly.single(-1, 0, -1))))
+    assert classify(q).kind == "oscillating"
+
+
 def test_classify_infinitesimal():
     assert classify(pow_int(N, -1)).kind == "infinitesimal"
 
@@ -566,6 +583,10 @@ def test_classify_lazy_estimates():
 
 def test_proportionality_of_scaled_identities():
     assert proportionality_constant(3 * N, 5 * N) == F(3, 5)
+
+
+def test_proportionality_with_a_unit_leading_coefficient():
+    assert proportionality_constant(N, 2 * N) == F(1, 2)
 
 
 def test_no_constant_ratio_between_powers():
