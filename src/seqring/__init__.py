@@ -63,7 +63,6 @@ from .order import (
 )
 from .quantity import (
     ExpPoly,
-    LazySeq,
     PrefixPatch,
     Quantity,
     Term,

@@ -47,7 +47,7 @@ from .order import (
     infinitely_close,
     windows,
 )
-from .quantity import ExpPoly, LazySeq, Quantity, _rat, as_node, values
+from .quantity import ExpPoly, Quantity, _rat, values
 
 
 class _OutOfDomain(Exception):
@@ -103,7 +103,7 @@ class StEstimate:
 
 def extend(f: RealFunction, q: Quantity) -> Quantity:
     """The pointwise extension of f: the lazy sequence n -> f(q(n)), an "apply" node over q's."""
-    return Quantity(None, {}, LazySeq("apply", (as_node(q),), (f.at, f.name)))
+    return Quantity(None, {}, "apply", (q.as_lazy(),), (f.at, f.name))
 
 
 def standard_part(

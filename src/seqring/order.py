@@ -25,13 +25,13 @@ Each other lazy verdict is a list of sign claims op(c + k*q(n), 0), and one
 scan (``_claim_scan``) tests them on the DAG after ``quantity.fold``, whose
 values are the same at every index, so a lazy input still gets the same
 Verdict, never an exact answer.  When the folded DAG is one closed form, the
-scan reads it pointwise only below its tail start N0 (``ExpPoly.tail_start``),
-past which the parity table fixes every sign, and takes the rest of the
-verdict from that table: a claim that holds there holds at every index from
-the first checked one on, and one that fails there fails at the first index,
-past N0 and the exempt prefix, of a parity with the wrong sign that no
-override covers, or at an earlier override that breaks it.  The verdict and
-witness are the full scan's.
+scan reads it pointwise only below its tail start N0 (``quantity._tail_start``
+of the parity table), past which that table fixes every sign, and takes the
+rest of the verdict from it: a claim that holds there holds at every index
+from the first checked one on, and one that fails there fails at the first
+index, past N0 and the exempt prefix, of a parity with the wrong sign that
+no override covers, or at an earlier override that breaks it.  The verdict
+and witness are the full scan's.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import LazyInput, ZeroDivisor
-from .quantity import ExpPoly, IntGroup, Quantity, fold, reader, sub, values
+from .quantity import ExpPoly, IntGroup, Quantity, _tail_start, fold, reader, sub, values
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_WINDOW = 50
@@ -191,10 +191,11 @@ def _claim_scan(q: Quantity, claims: list[tuple[int, int, Callable[[int, int], b
     value a/b (b > 0) passes where op(c * b + k * a, 0), of the sign of
     c + k * a/b, holds for every claim: that one test serves each read and
     each override.  A lazy q is read at every checked index.  A closed q is
-    read only below N0, the largest ``ExpPoly.tail_start`` of the claims'
-    closed forms c + k * body.  From N0 on, each form has at every
-    non-override index of a parity the sign of that parity's lead group (0
-    with no group).  A claim that such a sign breaks fails first at the
+    read only below N0, the largest ``_tail_start`` of the parity tables
+    (``ExpPoly.groups``) of the claims' closed forms c + k * body, each
+    table built once.  From N0 on, each form has at every non-override
+    index of a parity the sign of that parity's lead group (0 with no
+    group).  A claim that such a sign breaks fails first at the
     parity's first non-override index at or past max(first checked, N0),
     and each override up to the horizon is tested as the value it holds,
     found through the patch or through the indices up to the horizon,
@@ -210,8 +211,8 @@ def _claim_scan(q: Quantity, claims: list[tuple[int, int, Callable[[int, int], b
     q, first, end = fold(q), first_checked_index(horizon), horizon
     if q.is_closed:
         patch = q.patch
-        forms = [(ExpPoly.constant(c) + q.body.scale(k), op) for c, k, op in claims]
-        end = min(horizon, max(form.tail_start(horizon + 1) for form, _ in forms) - 1)
+        tables = [((ExpPoly.constant(c) + q.body.scale(k)).groups(), op) for c, k, op in claims]
+        end = min(horizon, max(_tail_start(table, horizon + 1) for table, _ in tables) - 1)
     read = reader(q)
     for n in range(first, end + 1):
         if not ok(*read(n)):
@@ -224,8 +225,8 @@ def _claim_scan(q: Quantity, claims: list[tuple[int, int, Callable[[int, int], b
         i for i in indices
         if start <= i <= horizon and i in patch and not ok(patch[i].numerator, patch[i].denominator)
     ]
-    for form, op in forms:
-        for parity, rows in enumerate(form.groups()[:2]):  # even n, then odd n
+    for table, op in tables:
+        for parity, rows in enumerate(table[:2]):  # even n, then odd n
             if not op(_lead_sign(rows), 0):
                 n = start + (start - parity) % 2
                 while n <= horizon and n in patch:

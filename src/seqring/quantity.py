@@ -5,27 +5,29 @@ A quantity is a sequence of rationals indexed from n = 1, stored either as
 * a closed form: a canonical exponential polynomial (a finite sum of terms
   ``c * n**k * b**n`` with rational c, b and integer k) plus a finite set of
   index overrides (the "prefix patch"), or
-* a lazy sequence: a node graph (a DAG) of pointwise operations whose leaves
-  are closed forms and evaluators, pure functions from index to rational.
+* a lazy sequence: a node of a graph (a DAG) of pointwise operations whose
+  leaves are closed forms and evaluators, pure functions from index to
+  rational.  Each node is itself a lazy ``Quantity``.
 
 Closed forms are the decidable fragment: addition and multiplication stay
 inside it, and the ordering layer can compare them exactly.  Arithmetic that
 mixes a closed form with a lazy sequence lowers the result to lazy: ``add``,
-``mul``, ``neg`` and ``delay`` build ``LazySeq`` nodes tagged "+", "*",
-"neg" and "delay" over "leaf" nodes (closed forms); an "apply" node holds a
-function, with no operand for an evaluator (``Quantity.lazy``) and one for
-``calculus.extend``.  Nodes hold no evaluation state.  ``reader`` compiles
-one DAG once into slots, one per node and index offset, and evaluates each
-slot once per index as an unnormalized integer pair (num, den) with den > 0,
-so no intermediate value pays a gcd; each leaf slot steps its closed form
-from one index to the next on integers alone (``ExpPoly._advance``), in a
-memo of its own, so a scan over closed forms builds no Fraction per index;
-a constant form keeps its first memo at every index.  The lazy scans in
-``order`` read by sign.  Only the public boundary reduces a value to a
-Fraction: ``values`` reads a closed form through its one stepping
-Fraction reader, ``ExpPoly._fractions``, and a lazy quantity through one
-``reader``; ``ExpPoly.value_at`` is one read of it, and ``eval_at`` is one
-read of ``values``.
+``mul``, ``neg`` and ``delay`` build lazy ``Quantity`` nodes tagged "+",
+"*", "neg" and "delay" over "leaf" nodes (closed forms, ``as_lazy``); an
+"apply" node holds a function, with no operand for an evaluator
+(``Quantity.lazy``) and one for ``calculus.extend``.  Nodes hold no
+evaluation state.  ``reader`` compiles one DAG once into slots, one per
+node and index offset, and evaluates each slot once per index as an
+unnormalized integer pair (num, den) with den > 0, so no intermediate value
+pays a gcd; each leaf slot steps its closed form from one index to the next
+on integers alone (``ExpPoly._advance``), in a memo of its own, so a scan
+over closed forms builds no Fraction per index; a constant form keeps its
+first memo at every index.  The lazy scans in ``order`` read by sign.  Only
+the public boundary reduces a value to a Fraction: ``values`` reads a
+closed form through its one stepping Fraction reader,
+``ExpPoly._fractions``, and a lazy quantity through one ``reader``;
+``ExpPoly.value_at`` is one read of it, and ``eval_at`` is one read of
+``values``.
 
 Sums, products and negations of closed forms stay closed, so ``values``
 and the lazy scans in ``order`` first ``fold`` the DAG, whole or not at all:
@@ -321,7 +323,7 @@ class ExpPoly:
         of a parity dominates it and gives its sign, the sign of a; a parity
         with no group is 0.  This integer table is the certificate behind
         every exact decision in ``order``, the tails of its lazy scans of a
-        closed form and the hole scan of ``zeros`` (``tail_start``).
+        closed form and the hole scan of ``zeros`` (``_tail_start``).
         """
         even: list[IntGroup] = []
         odd: list[IntGroup] = []
@@ -378,33 +380,19 @@ class ExpPoly:
                 out[key] = out.get(key, 0) + shifted * comb(power, j) * (-m) ** (power - j)
         return ExpPoly._reduced({k: a for k, a in out.items() if a}, self._den * big_l**m)
 
-    def tail_start(self, cap: int) -> int:
-        """The least N0 in 1..cap from which every value has its parity's lead sign; cap if none, 0 for zero.
-
-        On each parity of n (``groups``), a parity with no group is 0 at
-        every index and bounds nothing.  Otherwise its first group outweighs
-        the sum of the others from some T on (``_tail_start``), so at every
-        n >= T of that parity the value is not 0 and has the sign of the
-        first group's a.  N0 is the larger T of the two parities; it does not
-        depend on cap unless it reaches it.  ``zeros`` evaluates below it and
-        at its first index of each parity, and the lazy scans of ``order``
-        read a closed form pointwise only below it and take the sign past it
-        from ``groups``.
-        """
-        return max([_tail_start(rows, cap) for rows in self.groups()[:2] if rows], default=0)
-
     def zeros(self, hi: int) -> set[int]:
         """The t in 0..hi - 1 where the value is 0; the powers must be nonnegative.
 
-        The t below ``tail_start`` are evaluated exactly: S(t) in
-        ``_fractions`` is never 0, so the value is 0 where the integer I(t)
-        is, and ``_advance`` steps I(t) from t = 0 by one multiplication per
-        term and index.  From ``tail_start`` on, a parity of t with a group
-        (``groups``) is 0 nowhere and one with no group is 0 everywhere, so
-        the first two t there decide every later t of their parity.
+        The t below the tail start (``_tail_start`` of ``groups``) are
+        evaluated exactly: S(t) in ``_fractions`` is never 0, so the value is
+        0 where the integer I(t) is, and ``_advance`` steps I(t) from t = 0 by
+        one multiplication per term and index.  From the tail start on, a
+        parity of t with a group is 0 nowhere and one with no group is 0
+        everywhere, so the first two t there decide every later t of their
+        parity.
         """
         holes: set[int] = set()
-        window, memo = min(self.tail_start(hi), hi), None
+        window, memo = min(_tail_start(self.groups(), hi), hi), None
         for t in range(min(window + 2, hi)):
             memo = self._advance(t, memo)
             if not memo[3]:
@@ -539,48 +527,56 @@ def _integer_terms(pairs: Iterable) -> tuple[dict[Key, int], int]:
     return {key: c.numerator * (d // c.denominator) for key, c in cleaned.items()}, d
 
 
-def _tail_start(groups: list[IntGroup], cap: int) -> int:
-    """The least T in 1..cap from which the first of one parity's groups outweighs the rest, else cap.
+def _tail_start(table: tuple[list[IntGroup], list[IntGroup], int], cap: int) -> int:
+    """The least N0 in 1..cap from which every value has its parity's lead sign; cap if none, 0 for zero.
 
-    ``groups`` are one parity's (|num|, den, power, a), largest first, as
-    ``ExpPoly.groups`` gives them.  With the first group (B0, k0, C0), each
-    other group j gives the ratio
-    rho_j(t) = |Cj / C0| * t**(kj - k0) * (Bj / B0)**t.  T is the least
-    t >= 1 at which every rho_j steps down, rho_j(t + 1) <= rho_j(t), and
-    their sum is below 1.  The step ((t + 1) / t)**(kj - k0) * Bj / B0 falls
-    with t, so both still hold at every t past T, where the value is
-    C0 * t**k0 * B0**t times (1 + a sum of magnitude below 1): not 0,
-    with the sign of C0.  The search doubles t, then bisects, on exact
-    integers.  ``ExpPoly.tail_start`` is its one caller: it bounds the hole
-    search of ``ExpPoly.zeros`` and the pointwise reads of the lazy scans.
+    ``table`` is a form's (even, odd, D), as ``ExpPoly.groups`` gives it.  A
+    parity with no group is 0 at every index and bounds nothing.  Otherwise,
+    with its groups (|num|, den, power, a) largest first and the first
+    (B0, k0, C0), each other group j gives the ratio
+    rho_j(t) = |Cj / C0| * t**(kj - k0) * (Bj / B0)**t.  The parity's T is the
+    least t >= 1 at which every rho_j steps down, rho_j(t + 1) <= rho_j(t),
+    and their sum is below 1.  The step ((t + 1) / t)**(kj - k0) * Bj / B0
+    falls with t, so both still hold at every t past T, where the value is
+    C0 * t**k0 * B0**t times (1 + a sum of magnitude below 1): not 0, with
+    the sign of C0.  The search doubles t, then bisects, on exact integers.
+    N0 is the larger T of the two parities; it does not depend on cap unless
+    it reaches it.  ``ExpPoly.zeros`` evaluates below it and at its first
+    index of each parity, and the lazy scans of ``order`` read a closed form
+    pointwise only below it and take the sign past it from the same table.
     """
-    p0, q0, k0, a0 = groups[0]  # Cj = aj / D: the common denominator cancels in rho_j
-    a0 = abs(a0)
-    shift = max(k0 - k for _, _, k, _ in groups)  # t**shift clears the negative powers of t
-    by_ratio: dict[tuple[int, int], list[tuple[int, int]]] = {}  # Bj / B0 -> [(kj - k0 + shift, |aj|)]
-    for p, q, k, a in groups[1:]:
-        by_ratio.setdefault((p * q0, q * p0), []).append((k - k0 + shift, abs(a)))
-    rising = [(k - k0, p * q0, q * p0) for p, q, k, _ in groups[1:] if k > k0]
+    n0 = 0
+    for groups in table[:2]:
+        if not groups:
+            continue
+        p0, q0, k0, a0 = groups[0]  # Cj = aj / D: the common denominator cancels in rho_j
+        a0 = abs(a0)
+        shift = max(k0 - k for _, _, k, _ in groups)  # t**shift clears the negative powers of t
+        by_ratio: dict[tuple[int, int], list[tuple[int, int]]] = {}  # Bj / B0 -> [(kj - k0 + shift, |aj|)]
+        for p, q, k, a in groups[1:]:
+            by_ratio.setdefault((p * q0, q * p0), []).append((k - k0 + shift, abs(a)))
+        rising = [(k - k0, p * q0, q * p0) for p, q, k, _ in groups[1:] if k > k0]
 
-    def settled(t: int) -> bool:
-        if any((t + 1) ** d * p > t**d * q for d, p, q in rising):  # there Bj / B0 = p / q < 1
-            return False
-        # a0 * t**shift times sum rho_j(t) < 1: sum over ratios p / q of (p / q)**t * sum |aj| * t**e.
-        num, den = 0, 1
-        for (p, q), parts in by_ratio.items():
-            s, qt = sum(a * t**e for e, a in parts), q**t
-            num, den = num * qt + s * p**t * den, den * qt
-        return num < a0 * t**shift * den
+        def settled(t: int) -> bool:
+            if any((t + 1) ** d * p > t**d * q for d, p, q in rising):  # there Bj / B0 = p / q < 1
+                return False
+            # a0 * t**shift times sum rho_j(t) < 1: sum over ratios p / q of (p / q)**t * sum |aj| * t**e.
+            num, den = 0, 1
+            for (p, q), parts in by_ratio.items():
+                s, qt = sum(a * t**e for e, a in parts), q**t
+                num, den = num * qt + s * p**t * den, den * qt
+            return num < a0 * t**shift * den
 
-    lo, hi = 0, 1
-    while not settled(hi):
-        if hi >= cap:
-            return cap
-        lo, hi = hi, min(2 * hi, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if settled(mid) else (mid, hi)
-    return hi
+        lo, hi = 0, 1
+        while not settled(hi):
+            if hi >= cap:
+                return cap  # N0 is at most cap
+            lo, hi = hi, min(2 * hi, cap)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if settled(mid) else (mid, hi)
+        n0 = max(n0, hi)
+    return n0
 
 
 def canonicalize(terms: Iterable[Term]) -> ExpPoly:
@@ -588,64 +584,28 @@ def canonicalize(terms: Iterable[Term]) -> ExpPoly:
     return sum((ExpPoly.single(t.coeff, t.power, t.base) for t in terms), ExpPoly())
 
 
-class LazySeq:
-    """A node of a lazy expression DAG, pure and total on indices n >= 1.
-
-    ``op`` is "leaf" (``data``: a closed Quantity, patch included), "apply"
-    (``data``: (f, name); n -> f(n) with no operand, n -> f(arg(n), n) with
-    one), "+", "*", "neg" or "delay" (``data``: m); ``args`` are the operand
-    nodes.  A node holds no evaluation state: ``reader`` evaluates it.
-    """
-
-    __slots__ = ("op", "args", "data")
-
-    def __init__(self, op: str, args: tuple["LazySeq", ...] = (), data=None):
-        self.op, self.args, self.data = op, args, data
-
-    @property
-    def description(self) -> str:
-        texts: dict[LazySeq, str] = {}
-        for node in _post_order(self, operator.attrgetter("args"), lambda node: node, texts):
-            texts[node] = node._describe([texts[a] for a in node.args])
-        return texts[self]
-
-    def _describe(self, parts: list[str]) -> str:
-        # This node's text around its operands' texts ``parts``.
-        op, data = self.op, self.data
-        if op == "leaf":  # the closed form's own text, patch included, bracketed unless one term
-            text = data.render()
-            return f"({text})" if len(data.body._coeffs) > 1 or data.patch else text
-        if op == "apply":
-            return f"{data[1]}({parts[0]})" if parts else data[1]
-        if op == "neg":
-            return f"-({parts[0]})"
-        if op == "delay":
-            return f"delay({parts[0]}, {data})"
-        return f"({parts[0]} {op} {parts[1]})"
-
-
 def fold(q: Quantity) -> Quantity:
     """q's one closed form when its whole DAG folds, else q itself; equal to q at every index.
 
-    Sums, products and negations of closed forms are closed forms, so one
-    walk (``_post_order``) gives each node the closed form that ``ExpPoly``
-    arithmetic gives.  A node folds when it is a patch-free "leaf", a "neg",
-    or a "+" or "*" whose form has no more terms than its operands' forms,
-    which a ``reader`` steps per index (counted once when both read one
-    closed form).  Any other node, such as an "apply", a "delay" (a closed
-    delay writes m prefix entries), a patched leaf below the root (a closed
-    sum evaluates its operands at every override) or a product of two
-    distinct 3-term forms, leaves the DAG exactly as the ring operations
-    built it.  A root "leaf", and a root "neg" over one, give their closed
-    form with the patch included.
+    A lazy q is the root node of its DAG.  Sums, products and negations of
+    closed forms are closed forms, so one walk (``_post_order``) gives each
+    node the closed form that ``ExpPoly`` arithmetic gives.  A node folds
+    when it is a patch-free "leaf", a "neg", or a "+" or "*" whose form has
+    no more terms than its operands' forms, which a ``reader`` steps per
+    index (counted once when both read one closed form).  Any other node,
+    such as an "apply", a "delay" (a closed delay writes m prefix entries),
+    a patched leaf below the root (a closed sum evaluates its operands at
+    every override) or a product of two distinct 3-term forms, leaves q, the
+    DAG exactly as the ring operations built it.  A root "leaf", and a root
+    "neg" over one, give their closed form with the patch included.
     """
     if q.is_closed:
         return q
-    leaf = q.seq.args[0] if q.seq.op == "neg" else q.seq
+    leaf = q.args[0] if q.op == "neg" else q
     if leaf.op == "leaf":
-        return leaf.data if leaf is q.seq else _negated(leaf.data)
-    forms: dict[LazySeq, tuple] = {}  # node -> (its closed form, the closed form or node a reader steps for it)
-    for node in _post_order(q.seq, operator.attrgetter("args"), lambda node: node, forms):
+        return leaf.data if leaf is q else _negated(leaf.data)
+    forms: dict[Quantity, tuple] = {}  # node -> (its closed form, the closed form or node a reader steps for it)
+    for node in _post_order(q, operator.attrgetter("args"), lambda node: node, forms):
         op, args = node.op, [forms[a] for a in node.args]
         if op == "leaf" and not node.data.patch:
             forms[node] = (node.data.body, node.data)
@@ -659,7 +619,7 @@ def fold(q: Quantity) -> Quantity:
             forms[node] = (body, node)
         else:
             return q
-    return Quantity(forms[q.seq][0], {}, None)
+    return Quantity(forms[q][0], {})
 
 
 def _post_order(root, operands: Callable, key: Callable, done) -> Iterable:
@@ -684,14 +644,23 @@ def _post_order(root, operands: Callable, key: Callable, done) -> Iterable:
 
 
 class Quantity:
-    """A rational sequence, closed-form or lazy.  Immutable."""
+    """A rational sequence, closed-form or lazy.  Immutable.
 
-    __slots__ = ("body", "patch", "seq")
+    A closed form has a ``body`` and a ``patch`` and no ``op``.  A lazy
+    quantity has no body and an empty patch, and is a node of a lazy
+    expression DAG, pure and total on indices n >= 1: ``op`` is "leaf"
+    (``data``: a closed Quantity, patch included), "apply" (``data``:
+    (f, name); n -> f(n) with no operand, n -> f(arg(n), n) with one), "+",
+    "*", "neg" or "delay" (``data``: m), and ``args`` are its operands, lazy
+    Quantities.  A node holds no evaluation state: ``reader`` evaluates it.
+    """
 
-    def __init__(self, body: ExpPoly | None, patch: PrefixPatch, seq: LazySeq | None):
+    __slots__ = ("body", "patch", "op", "args", "data")
+
+    def __init__(self, body: ExpPoly | None, patch: PrefixPatch, op: str | None = None, args=(), data=None):
         self.body = body
         self.patch = patch
-        self.seq = seq
+        self.op, self.args, self.data = op, args, data
 
     @classmethod
     def closed(cls, body: ExpPoly, patch: Mapping[int, object] | None = None) -> "Quantity":
@@ -717,7 +686,7 @@ class Quantity:
                 differs = fv is not None and fb is not None and fv != fb
                 if differs or v != body.value_at(i):
                     cleaned[i] = v
-        return cls(body, cleaned, None)
+        return cls(body, cleaned)
 
     @classmethod
     def zero_prefixed(
@@ -744,11 +713,11 @@ class Quantity:
             del prefix[m - t]
         if tail:
             prefix.update(tail)
-        return cls(body, prefix, None)
+        return cls(body, prefix)
 
     @classmethod
     def lazy(cls, evaluator: Callable[[int], Fraction], description: str = "lazy") -> "Quantity":
-        return cls(None, {}, LazySeq("apply", (), (evaluator, description)))
+        return cls(None, {}, "apply", (), (evaluator, description))
 
     @property
     def is_closed(self) -> bool:
@@ -756,13 +725,33 @@ class Quantity:
 
     @property
     def description(self) -> str:
-        return self.seq.description if self.seq is not None else self.render()
+        """A closed form's text, or a lazy DAG's, each node around its operands' texts."""
+        if self.is_closed:
+            return self.render()
+        texts: dict[Quantity, str] = {}
+        for node in _post_order(self, operator.attrgetter("args"), lambda node: node, texts):
+            texts[node] = node._describe([texts[a] for a in node.args])
+        return texts[self]
+
+    def _describe(self, parts: list[str]) -> str:
+        # This node's text around its operands' texts ``parts``.
+        op, data = self.op, self.data
+        if op == "leaf":  # the closed form's own text, patch included, bracketed unless one term
+            text = data.render()
+            return f"({text})" if len(data.body._coeffs) > 1 or data.patch else text
+        if op == "apply":
+            return f"{data[1]}({parts[0]})" if parts else data[1]
+        if op == "neg":
+            return f"-({parts[0]})"
+        if op == "delay":
+            return f"delay({parts[0]}, {data})"
+        return f"({parts[0]} {op} {parts[1]})"
 
     def as_lazy(self) -> "Quantity":
-        """Explicitly forget the closed form."""
+        """Explicitly forget the closed form: a lazy q itself, a closed one as a "leaf" node over it."""
         if not self.is_closed:
             return self
-        return Quantity(None, {}, LazySeq("leaf", (), self))
+        return Quantity(None, {}, "leaf", (), self)
 
     def __eq__(self, other) -> bool:
         # Structural equality.  For Frechet equality use order.compare().
@@ -816,7 +805,7 @@ class Quantity:
         are joined once.
         """
         if not self.is_closed:
-            return f"lazy({self.seq.description})"
+            return f"lazy({self.description})"
         text = self.body.render()
         if not self.patch:
             return text
@@ -852,18 +841,14 @@ def eval_at(q: Quantity, n: int) -> Fraction:
     return values(q)(n)
 
 
-def as_node(q: Quantity) -> LazySeq:
-    """q's DAG node; a closed form becomes a "leaf"."""
-    return q.seq if q.seq is not None else LazySeq("leaf", (), q)
-
-
 def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
     """n -> q's value at n >= 1 as an unreduced pair (num, den), den > 0.
 
-    q's DAG is walked once, with an explicit stack (``_post_order``), into
-    slots keyed by (node, offset): a slot reads its node at n - offset, and a
-    read evaluates each slot once, operands first, however often the DAG
-    shares it, and returns the root's pair, the last slot.  A "delay" adds
+    The DAG under q's node (``as_lazy``: a closed q reads as one "leaf") is
+    walked once, with an explicit stack (``_post_order``), into slots keyed
+    by (node, offset): a slot reads its node at n - offset, and a read
+    evaluates each slot once, operands first, however often the DAG shares
+    it, and returns the root's pair, the last slot.  A "delay" adds
     its m to the offset and needs no slot: below index 1 every leaf and
     "apply" node reads (0, 1), and so do sums, products and negations.
     The leaves of one closed form share a slot, and each leaf slot keeps its
@@ -876,7 +861,7 @@ def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
     steps: list[Callable[[int], tuple[int, int]]] = []
     vals: list[tuple[int, int]] = []
 
-    def resolve(node: LazySeq, offset: int) -> tuple:
+    def resolve(node: Quantity, offset: int) -> tuple:
         # (node, offset, slot key) past any "delay", which adds its m to the offset.
         while node.op == "delay":
             node, offset = node.args[0], offset + node.data
@@ -886,7 +871,7 @@ def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
         node, offset, _ = item
         return [resolve(a, offset) for a in node.args]
 
-    def make_step(node: LazySeq, offset: int, x: int | None, y: int | None) -> Callable:
+    def make_step(node: Quantity, offset: int, x: int | None, y: int | None) -> Callable:
         # The step of node read at n - offset, over the slots x and y of its operands.
         op, data = node.op, node.data
         if op == "leaf":
@@ -931,7 +916,7 @@ def reader(q: Quantity) -> Callable[[int], tuple[int, int]]:
             step = lambda n: (vals[x][0] * vals[y][0], vals[x][1] * vals[y][1])
         return step
 
-    for item in _post_order(resolve(as_node(q), 0), operands, operator.itemgetter(2), slots):
+    for item in _post_order(resolve(q.as_lazy(), 0), operands, operator.itemgetter(2), slots):
         x, y = (*[slots[key] for _, _, key in operands(item)], None, None)[:2]
         slots[item[2]] = len(steps)
         steps.append(make_step(item[0], item[1], x, y))
@@ -975,7 +960,7 @@ def _index(n) -> int:
 def _pointwise(q1, q2, op, symbol: str) -> Quantity:
     q1, q2 = _coerce(q1), _coerce(q2)
     if not (q1.is_closed and q2.is_closed):
-        return Quantity(None, {}, LazySeq(symbol, (as_node(q1), as_node(q2))))
+        return Quantity(None, {}, symbol, (q1.as_lazy(), q2.as_lazy()))
     patch = {}
     if q1.patch or q2.patch:  # evaluate at the overrides of either, stepping between them
         v1, v2 = values(q1), values(q2)
@@ -999,12 +984,12 @@ def neg(q) -> Quantity:
     q = _coerce(q)
     if q.is_closed:
         return _negated(q)
-    return Quantity(None, {}, LazySeq("neg", (q.seq,)))
+    return Quantity(None, {}, "neg", (q,))
 
 
 def _negated(q: Quantity) -> Quantity:
     # The negation of a closed q, patch included (see ``neg``).
-    return Quantity(-q.body, {i: v and -v for i, v in q.patch.items()}, None)
+    return Quantity(-q.body, {i: v and -v for i, v in q.patch.items()})
 
 
 def sub(q1, q2) -> Quantity:
@@ -1062,7 +1047,7 @@ def delay(q, m: int) -> Quantity:
     if m == 0:
         return q
     if not q.is_closed:
-        return Quantity(None, {}, LazySeq("delay", (q.seq,), m))
+        return Quantity(None, {}, "delay", (q,), m)
     # Re-expanding each c*n^k*b^n at n-m into powers of n needs k >= 0.
     for (_, _, power), _ in q.body._sorted():
         if power < 0:

@@ -393,7 +393,7 @@ def test_a_sum_over_a_far_patch_stays_lazy_and_never_reads_the_patched_index(mon
     advanced = []
     advance = ExpPoly._advance
     monkeypatch.setattr(ExpPoly, "_advance", lambda self, n, memo: advanced.append(n) or advance(self, n, memo))
-    assert fold(q).seq.op == "+"
+    assert fold(q).op == "+"
     h = 1000
     for claim in (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER):
         got = _verdict(compare_lazy(q, three, claim, h))
@@ -413,7 +413,7 @@ def test_a_product_of_two_three_term_leaves_stays_lazy():
     product = mul(a.as_lazy(), b)
     assert len((a.body * b.body).items()) == 9
     folded = fold(product)
-    assert not folded.is_closed and folded.seq.op == "*"
+    assert not folded.is_closed and folded.op == "*"
     fp = mirror_mul(mirror_closed(a), mirror_closed(b))
     closed = mul(a, b)
     h = 200
@@ -598,6 +598,31 @@ def test_lazy_descriptions_render_the_dag():
     for q, text in cases:
         assert q.render() == text
         assert q.description == text[len("lazy("):-1]
+
+
+def test_every_lazy_node_is_a_quantity():
+    # A lazy quantity is its own DAG node: every node below it is a lazy
+    # Quantity, as_lazy() of one is itself, and a "leaf" holds its closed form.
+    x = Quantity.closed(ExpPoly({(F(2), 1): F(1), (F(1), 0): F(3)}), {2: F(7)})
+    one = embed_scalar(1)
+    r = Quantity.lazy(lambda n: F(1, n), "1/n")
+    ident = RealFunction("id", lambda v: v)
+    built = [
+        x.as_lazy(), r, add(x, r), mul(r, x), neg(r), delay(r, 3), extend(ident, x),
+        sub(mul(add(x.as_lazy(), one), neg(delay(r, 2))), extend(ident, add(r, x))),
+    ]
+    for q in built:
+        assert q.as_lazy() is q
+        stack, leaves = [q], []
+        while stack:
+            node = stack.pop()
+            assert type(node) is Quantity and node.op is not None
+            assert (node.body, node.patch, node.as_lazy()) == (None, {}, node)
+            if node.op == "leaf":
+                leaves.append(node.data)
+            stack.extend(node.args)
+        assert all(leaf is x or leaf is one for leaf in leaves), q.description
+    assert x.as_lazy().data is x and (x.op, x.args, x.data) == (None, (), None)
 
 
 def test_a_patched_leaf_describes_its_patch():

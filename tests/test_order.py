@@ -16,6 +16,7 @@ from helpers import (
 )
 
 from seqring import (
+    Classification,
     Comparison,
     ExpPoly,
     LazyInput,
@@ -280,6 +281,31 @@ def test_classify_lazy_rejects_its_window_before_evaluating(horizon, window, mes
     assert evaluated == []
     zero = Quantity.lazy(lambda n: F(0), "0")
     assert classify_lazy(zero, 10, 10).kind == "zero"  # the whole horizon is a window
+
+
+# Each threshold of classify_lazy met with equality, window 10 and tol 1/1000.
+# At horizon 100 the early window is 11..20, the tail 91..100 and the probed
+# bound 10; the sequence reads `early` below 91 and `even` or `odd` in the
+# tail by parity.  At horizon 10 the tail is the whole horizon and the early
+# window is empty, so its magnitude is 0.
+TOL = F(1, 1000)
+
+
+@pytest.mark.parametrize(
+    "horizon, early, even, odd, expected",
+    [
+        pytest.param(100, TOL, TOL, TOL, Classification("finite", TOL), id="tail_at_tol"),
+        pytest.param(100, F(1, 200), F(1, 400), F(1, 400), Classification("infinitesimal"), id="tail_at_half_early"),
+        pytest.param(100, F(1, 50), F(1, 100), F(1, 100), Classification("finite", F(1, 100)), id="tail_at_one_hundredth"),
+        pytest.param(100, F(1), F(1), 1 + TOL, None, id="spread_at_tol"),
+        pytest.param(100, F(10), F(10), F(11), None, id="tail_at_bound"),
+        pytest.param(100, F(-10), F(-10), F(-11), None, id="tail_at_minus_bound"),
+        pytest.param(10, None, F(1, 200), F(1, 200), Classification("finite", F(1, 200)), id="no_early_window"),
+    ],
+)
+def test_classify_lazy_at_each_threshold(horizon, early, even, odd, expected):
+    q = Quantity.lazy(lambda n: (even if n % 2 == 0 else odd) if n > horizon - 10 else early)
+    assert classify_lazy(q, horizon, 10, TOL) == expected
 
 
 def test_windows_are_disjoint_inside_the_horizon_and_past_the_exempt_prefix():

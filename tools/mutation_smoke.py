@@ -44,6 +44,48 @@ MUTANTS = [
         "while n < horizon and n in patch:",
         "tests/test_order.py::test_lazy_small_holds_when_every_wrong_parity_index_to_the_horizon_is_an_override",
     ),
+    (
+        "src/seqring/order.py",
+        "tail_mag < tol or",
+        "tail_mag <= tol or",
+        "tests/test_order.py::test_classify_lazy_at_each_threshold[tail_at_tol]",
+    ),
+    (
+        "src/seqring/order.py",
+        "tail_mag * 2 <= early_mag",
+        "tail_mag * 2 < early_mag",
+        "tests/test_order.py::test_classify_lazy_at_each_threshold[tail_at_half_early]",
+    ),
+    (
+        "src/seqring/order.py",
+        "tail_mag < Fraction(1, 100)",
+        "tail_mag <= Fraction(1, 100)",
+        "tests/test_order.py::test_classify_lazy_at_each_threshold[tail_at_one_hundredth]",
+    ),
+    (
+        "src/seqring/order.py",
+        "max(tail) - min(tail) < tol",
+        "max(tail) - min(tail) <= tol",
+        "tests/test_order.py::test_classify_lazy_at_each_threshold[spread_at_tol]",
+    ),
+    (
+        "src/seqring/order.py",
+        "all(v > bound for v in tail)",
+        "all(v >= bound for v in tail)",
+        "tests/test_order.py::test_classify_lazy_at_each_threshold[tail_at_bound]",
+    ),
+    (
+        "src/seqring/order.py",
+        "all(v < -bound for v in tail)",
+        "all(v <= -bound for v in tail)",
+        "tests/test_order.py::test_classify_lazy_at_each_threshold[tail_at_minus_bound]",
+    ),
+    (
+        "src/seqring/order.py",
+        "(abs(v) for v in early), default=0)",
+        "(abs(v) for v in early), default=1)",
+        "tests/test_order.py::test_classify_lazy_at_each_threshold[no_early_window]",
+    ),
 ]
 
 # Exit code of a run whose seqring does not import, or not from the copy.
